@@ -18,6 +18,11 @@ observations, matches, rules fired, SQL actions, per-rule fired counts —
 proving the checkpoint/restore lifecycle loses nothing and repeats
 nothing. The restarted daemon's /metrics and /healthz are scraped too.
 
+  3. Damaged image: truncate the tenant's store image (store.img, the
+     checkpoint's cache of the WAL) and relaunch once more. The daemon
+     must fall back to a full WAL replay, count it in /metrics
+     (rfidcepd_store_image_fallback_total at 1) and reconcile again.
+
 Usage: scripts/server_smoke.py --bin=build/src/server/rfidcepd \
            [--events=20000] [--workdir=DIR]
 """
@@ -230,18 +235,43 @@ def main():
     for needle in ("rfidcepd_connections_total", "rfidcepd_frames_total",
                    'tenant="smoke"'):
         assert needle in metrics, f"missing {needle!r} in /metrics"
+    # Restarted over a checkpoint: the store came from the image.
+    assert 'rfidcepd_store_image_fallback_total{tenant="smoke"} 0' in metrics
     daemon.sigterm()
 
-    if recovered != oracle:
-        diff = {k: (oracle.get(k), recovered.get(k))
-                for k in sorted(set(oracle) | set(recovered))
-                if oracle.get(k) != recovered.get(k)}
-        print(f"FAIL: interrupted run diverged from oracle: {diff}")
+    # Run 3: the same state with a truncated store image.
+    image = os.path.join(state_b, "smoke", "store.img")
+    size = os.path.getsize(image)
+    with open(image, "r+b") as f:
+        f.truncate(size // 2)
+    print(f"truncated {image} from {size} to {size // 2} bytes; restarting")
+    daemon = Daemon(args.bin, write_config(workdir, "b3", shards=1), state_b,
+                    workdir)
+    client = Client(daemon.port, "smoke")
+    after_fallback = client.stats()
+    client.close()
+    metrics = daemon.http_get("/metrics")
+    daemon.sigterm()
+    print(f"after image fallback: {after_fallback}")
+    fallback = 'rfidcepd_store_image_fallback_total{tenant="smoke"} 1'
+    if fallback not in metrics:
+        print(f"FAIL: /metrics lacks {fallback!r}")
         return 1
+
+    for name, got in (("interrupted run", recovered),
+                      ("image-fallback restart", after_fallback)):
+        if got != oracle:
+            diff = {k: (oracle.get(k), got.get(k))
+                    for k in sorted(set(oracle) | set(got))
+                    if oracle.get(k) != got.get(k)}
+            print(f"FAIL: {name} diverged from oracle: {diff}")
+            return 1
     print("PASS: SIGTERM/restart run reconciled exactly with the "
           f"uninterrupted run over {args.events} events "
           f"({oracle['matches']} matches, {oracle['sql_actions']} SQL "
-          f"actions, {oracle['rules_fired']} firings)")
+          f"actions, {oracle['rules_fired']} firings), and again after a "
+          "restart over a truncated store image (full-replay fallback "
+          "counted)")
     if not args.workdir:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0

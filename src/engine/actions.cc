@@ -59,7 +59,9 @@ void ActionDispatcher::RegisterProcedure(std::string_view name,
 
 void ActionDispatcher::AttachWal(store::Wal* wal) {
   wal_ = wal;
-  executed_ = wal != nullptr ? wal->recovered_actions() : store::WalActionMap{};
+  executed_ = wal != nullptr && !wal->recovered_actions().empty()
+                  ? &wal->recovered_actions()
+                  : nullptr;
 }
 
 Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
@@ -77,10 +79,10 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
           }
           continue;
         }
-        if (wal_ != nullptr) {
-          auto hit = executed_.find(
+        if (executed_ != nullptr) {
+          auto hit = executed_->find(
               store::WalActionKey(firing.rule->id, firing.seq, index));
-          if (hit != executed_.end()) {
+          if (hit != executed_->end()) {
             // Effect already durable (recovered from the log): credit the
             // logical counters and skip re-execution.
             ++sql_actions_executed_;
@@ -134,9 +136,9 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
           }
           continue;
         }
-        if (wal_ != nullptr &&
-            executed_.count(store::WalActionKey(firing.rule->id, firing.seq,
-                                                index)) != 0) {
+        if (executed_ != nullptr &&
+            executed_->count(store::WalActionKey(firing.rule->id, firing.seq,
+                                                 index)) != 0) {
           // The callback already ran before the crash and its frame
           // survived in the log: credit the logical counters and skip
           // re-invocation — this is what keeps alarms single-fire

@@ -111,7 +111,9 @@ class ActionDispatcher {
   const ActionInstruments* instruments_ = nullptr;
   TraceSink* trace_ = nullptr;
   store::Wal* wal_ = nullptr;
-  store::WalActionMap executed_;  // Dedup map recovered from the WAL.
+  // The WAL's recovered dedup map (immutable once the WAL is open);
+  // null when it is empty, so Dispatch builds no key to look up.
+  const store::WalActionMap* executed_ = nullptr;
   uint64_t sql_actions_executed_ = 0;
   uint64_t procedures_invoked_ = 0;
   uint64_t unknown_procedures_ = 0;

@@ -495,14 +495,32 @@ Status RcedaEngine::SerializeState(std::string* out) {
   return Status::Ok();
 }
 
+void RcedaEngine::DrainActions() {
+  if (action_stage_ != nullptr) {
+    action_stage_->Drain();
+    SyncActionProgress();
+  }
+}
+
 Status RcedaEngine::RestoreState(std::string_view bytes) {
   if (!compiled()) return NotCompiled();
   SteadyTime start = Now();
+  snapshot::EngineSnapshot snap;
+  RFIDCEP_RETURN_IF_ERROR(snapshot::DecodeEngineSnapshot(bytes, &snap));
+  return RestoreDecoded(snap, bytes.size(), start);
+}
+
+Status RcedaEngine::RestoreState(const snapshot::EngineSnapshot& snap,
+                                 size_t encoded_bytes) {
+  if (!compiled()) return NotCompiled();
+  return RestoreDecoded(snap, encoded_bytes, Now());
+}
+
+Status RcedaEngine::RestoreDecoded(const snapshot::EngineSnapshot& snap,
+                                   size_t encoded_bytes, SteadyTime start) {
   // Quiesce the action pipeline: once drained, the dispatcher, its WAL,
   // and the stage's progress are stable for the duration of the restore.
   if (action_stage_ != nullptr) action_stage_->Drain();
-  snapshot::EngineSnapshot snap;
-  RFIDCEP_RETURN_IF_ERROR(snapshot::DecodeEngineSnapshot(bytes, &snap));
   uint64_t expected = snapshot::ComputeFingerprint(options_.detector.context,
                                                    rules_, *graph_);
   if (snap.fingerprint != expected) {
@@ -672,7 +690,7 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
   }
 
   if (trace_ != nullptr) {
-    trace_->RecordSnapshot("restore", bytes.size(), snap.clock,
+    trace_->RecordSnapshot("restore", encoded_bytes, snap.clock,
                            snap.source_shards);
   }
   return Status::Ok();

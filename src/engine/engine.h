@@ -20,6 +20,7 @@
 #ifndef RFIDCEP_ENGINE_ENGINE_H_
 #define RFIDCEP_ENGINE_ENGINE_H_
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -195,6 +196,14 @@ class RcedaEngine : public EngineFrontend {
   // mismatch, and on a format version this build does not read). The
   // shard count may differ from the snapshot's: state is re-partitioned.
   Status RestoreState(std::string_view bytes) override;
+  // RestoreState over a snapshot the caller already decoded (to read its
+  // durable LSN first, say) from `encoded_bytes` bytes.
+  Status RestoreState(const snapshot::EngineSnapshot& snap,
+                      size_t encoded_bytes);
+  // Returns once every firing handed to the async action stage has been
+  // executed and logged, so the store and the WAL stop changing until
+  // the next streaming call. A no-op with synchronous dispatch.
+  void DrainActions();
   // SerializeState / RestoreState against the file at `path`.
   Status Checkpoint(const std::string& path);
   Status Restore(const std::string& path);
@@ -268,6 +277,10 @@ class RcedaEngine : public EngineFrontend {
   std::string DebugReport() const;
 
  private:
+  Status RestoreDecoded(const snapshot::EngineSnapshot& snap,
+                        size_t encoded_bytes,
+                        std::chrono::steady_clock::time_point start);
+
   // Cumulative action counters as reported by one source (the dispatcher
   // in sync mode, the stage's confirmed Progress in async mode). Sources
   // are process-local and monotonic, so after a restore the engine's

@@ -319,9 +319,8 @@ void ShardedDetector::WorkerMain(Shard* shard) {
           }
         }
         if (command.advance_after) {
-          // Per-batch clock sync (data mode): fire every pseudo event
-          // scheduled strictly before the coordinator clock, so each
-          // barrier delivers exactly the serial match prefix.
+          // Per-batch clock sync: fire every pseudo event scheduled
+          // strictly before the coordinator clock (see ProcessBatch).
           shard->current_seq = command.advance_seq;
           shard->detector->SetCommandSeq(command.advance_seq);
           shard->detector->AdvanceTo(command.t);
@@ -560,12 +559,15 @@ Status ShardedDetector::ProcessBatch(const Observation* batch, size_t count) {
     }
   }
   // Handoff: each shard's whole share of the batch rides in ONE ring
-  // slot. In data mode every shard additionally advances to the
-  // coordinator clock under one shared command sequence — the per-batch
-  // sync that fires pending expirations on replicas the batch never
-  // touched, keeping the concatenation of per-barrier merges identical
-  // to the serial emission order.
-  const bool advance = data_mode_ && accepted;
+  // slot. Every shard additionally advances to the coordinator clock
+  // under one shared command sequence — the per-batch sync that fires
+  // pending expirations on shards the batch never touched. In data mode
+  // it keeps the concatenation of per-barrier merges identical to the
+  // serial emission order; in both modes it leaves nothing due before
+  // the clock, so a checkpoint's capture advance (SerializeState) fires
+  // nothing and a checkpointed run emits in the order an uninterrupted
+  // one does.
+  const bool advance = accepted;
   const uint64_t advance_seq = advance ? ++command_seq_ : 0;
   for (std::unique_ptr<Shard>& shard : shards_) {
     if (shard->staged.empty() && !advance) continue;

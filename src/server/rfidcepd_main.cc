@@ -95,10 +95,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rfidcepd: %s\n", status.message().c_str());
       return 1;
     }
+    const rfidcep::server::Tenant& tenant = *server.tenant(name);
     std::fprintf(stderr, "rfidcepd: tenant '%s' %s\n", name.c_str(),
-                 server.tenant(name)->restored()
-                     ? "restored from checkpoint"
-                     : "started fresh");
+                 tenant.restored() ? "restored from checkpoint"
+                                   : "started fresh");
+    if (tenant.recovery().image_fallback) {
+      std::fprintf(stderr,
+                   "rfidcepd: tenant '%s': no usable store image; replayed "
+                   "the whole WAL (%llu records)\n",
+                   name.c_str(),
+                   static_cast<unsigned long long>(
+                       tenant.recovery().wal_records));
+    }
   }
 
   if (::pipe(g_signal_pipe) != 0) {

@@ -138,6 +138,12 @@ Status Server::AddTenant(TenantConfig config) {
     return Status(tenant.status().code(),
                   "tenant '" + name + "': " + tenant.status().message());
   }
+  const TenantRecovery& recovery = (*tenant)->recovery();
+  const std::string label = "{tenant=\"" + name + "\"}";
+  registry_.GetGauge("rfidcepd_recovery_wal_records" + label)
+      ->Set(static_cast<int64_t>(recovery.wal_records));
+  registry_.GetCounter("rfidcepd_store_image_fallback_total" + label)
+      ->Increment(recovery.image_fallback ? 1 : 0);
   tenants_.emplace(std::move(name), std::move(*tenant));
   return Status::Ok();
 }

@@ -1,11 +1,15 @@
 #include "server/tenant.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
+#include "engine/snapshot.h"
 #include "events/event_type.h"
+#include "store/store_image.h"
 
 namespace rfidcep::server {
 namespace {
@@ -140,21 +144,42 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
 
   std::unique_ptr<Tenant> tenant(new Tenant(std::move(config)));
   tenant->checkpoint_path_ = (tenant_dir / "checkpoint.snap").string();
+  tenant->image_path_ = (tenant_dir / "store.img").string();
+  auto restore_error = [&](const Status& status) {
+    return Status(status.code(), "tenant '" + tenant->config_.name +
+                                     "': restoring " +
+                                     tenant->checkpoint_path_ + ": " +
+                                     status.message());
+  };
 
-  // Recovery order (docs/recovery.md): replay the surviving WAL into a
-  // fresh store, attach it so its dedup map seeds the dispatcher, then
-  // compile and restore the snapshot. Any suffix the checkpoint missed
-  // is re-derived when clients resend unacknowledged frames.
-  if (tenant->config_.store) {
-    tenant->db_ = std::make_unique<store::Database>();
-    RFIDCEP_RETURN_IF_ERROR(tenant->db_->InstallRfidSchema());
-    Result<std::unique_ptr<store::Wal>> wal =
-        store::Wal::Open((tenant_dir / "wal").string());
-    RFIDCEP_RETURN_IF_ERROR(wal.status());
-    tenant->wal_ = std::move(*wal);
+  // Recovery order (docs/recovery.md): decode the snapshot, whose
+  // durable LSN bounds the dedup keys the restored engine can need;
+  // load the store image and replay only the WAL above it (or the whole
+  // WAL when the image is unusable); attach the WAL so its dedup map
+  // seeds the dispatcher; then compile and restore the snapshot. Any
+  // suffix the checkpoint missed is re-derived when clients resend
+  // unacknowledged frames.
+  std::string snapshot_bytes;
+  std::optional<engine::snapshot::EngineSnapshot> snapshot;
+  if (fs::exists(tenant->checkpoint_path_)) {
     RFIDCEP_RETURN_IF_ERROR(
-        store::ReplayWalIntoDatabase(*tenant->wal_, tenant->db_.get())
-            .status());
+        ReadTextFile(tenant->checkpoint_path_, &snapshot_bytes));
+    snapshot.emplace();
+    Status decoded =
+        engine::snapshot::DecodeEngineSnapshot(snapshot_bytes, &*snapshot);
+    if (!decoded.ok()) return restore_error(decoded);
+  }
+  if (tenant->config_.store) {
+    RFIDCEP_ASSIGN_OR_RETURN(
+        store::RecoveredStore recovered,
+        store::RecoverStore(tenant->image_path_,
+                            (tenant_dir / "wal").string(),
+                            snapshot ? snapshot->durable_lsn : 0));
+    tenant->db_ = std::move(recovered.db);
+    tenant->wal_ = std::move(recovered.wal);
+    tenant->recovery_.image_lsn = recovered.image_lsn;
+    tenant->recovery_.wal_records = recovered.replayed_records;
+    tenant->recovery_.image_fallback = recovered.image_fallback;
   }
 
   engine::EngineOptions options;
@@ -171,16 +196,10 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   }
   RFIDCEP_RETURN_IF_ERROR(tenant->engine_->Compile());
 
-  if (fs::exists(tenant->checkpoint_path_)) {
-    std::string bytes;
-    RFIDCEP_RETURN_IF_ERROR(ReadTextFile(tenant->checkpoint_path_, &bytes));
-    Status restored = tenant->engine_->RestoreState(bytes);
-    if (!restored.ok()) {
-      return Status(restored.code(), "tenant '" + tenant->config_.name +
-                                         "': restoring " +
-                                         tenant->checkpoint_path_ + ": " +
-                                         restored.message());
-    }
+  if (snapshot) {
+    Status restored =
+        tenant->engine_->RestoreState(*snapshot, snapshot_bytes.size());
+    if (!restored.ok()) return restore_error(restored);
     tenant->restored_ = true;
   }
   return tenant;
@@ -191,6 +210,12 @@ Status Tenant::Checkpoint() {
   // SerializeState syncs the WAL before reading its LSN, so everything
   // the snapshot claims durable really is on disk first.
   RFIDCEP_RETURN_IF_ERROR(engine_->SerializeState(&bytes));
+  // The image goes first: a crash between the two renames leaves an
+  // image newer than the snapshot, which recovery handles (the WAL is
+  // opened from the lower of the two LSNs). A failed image write keeps
+  // the previous image, still a valid cache, so the snapshot is written
+  // anyway and the image error is reported after it.
+  const Status image = db_ != nullptr ? WriteImage() : Status::Ok();
   const std::string tmp = checkpoint_path_ + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -204,6 +229,29 @@ Status Tenant::Checkpoint() {
   if (ec) {
     return Status::Internal("cannot replace checkpoint " + checkpoint_path_ +
                             ": " + ec.message());
+  }
+  return image;
+}
+
+Status Tenant::WriteImage() {
+  // The image must hold exactly the effects of the records up to its
+  // LSN. An async action stage writes the store from its own thread:
+  // drain it, then sync so the WAL on disk reaches that LSN too.
+  if (config_.async_actions) {
+    engine_->DrainActions();
+    RFIDCEP_RETURN_IF_ERROR(wal_->Sync());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  RFIDCEP_ASSIGN_OR_RETURN(
+      uint64_t bytes,
+      store::WriteStoreImage(*db_, wal_->last_lsn(), image_path_));
+  if (engine_->metrics_enabled()) {
+    common::MetricsRegistry& registry = engine_->metrics_registry();
+    registry.GetGauge("store_image_bytes")->Set(static_cast<int64_t>(bytes));
+    registry.GetGauge("store_image_ns")
+        ->Set(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count());
   }
   return Status::Ok();
 }

@@ -2,9 +2,10 @@
 //
 // A tenant owns the full durable stack for one deployment — in-memory
 // RFID store, store WAL, compiled engine — plus its slice of the state
-// directory. Open() rebuilds the stack in recovery order (WAL replay
-// into a fresh store, dedup-map attach, compile, snapshot restore), so
-// a restarted daemon resumes exactly where the last checkpoint left it;
+// directory. Open() rebuilds the stack in recovery order (store image
+// load plus replay of the WAL above it, dedup-map attach, compile,
+// snapshot restore), so a restarted daemon resumes exactly where the
+// last checkpoint left it;
 // the snapshot is layout-portable, so the restart may change the shard
 // count or dispatch mode (docs/recovery.md). The server drives a tenant
 // only through the narrow engine::EngineFrontend surface and the
@@ -53,10 +54,22 @@ Result<std::vector<TenantConfig>> ParseTenantConfigFile(
 Result<std::vector<TenantConfig>> ParseTenantConfigText(
     std::string_view text, const std::string& base_dir);
 
+// What Tenant::Open() did to rebuild the store.
+struct TenantRecovery {
+  uint64_t image_lsn = 0;    // LSN of the store image loaded; 0 = none.
+  uint64_t wal_records = 0;  // WAL records replayed above it.
+  // The WAL was replayed from LSN 0 although it holds records, because
+  // the image was missing, damaged or past the WAL's end.
+  bool image_fallback = false;
+};
+
 class Tenant {
  public:
   // Builds and recovers the tenant under `state_dir/<name>/`:
-  // wal/ holds the store WAL, checkpoint.snap the latest snapshot.
+  //   wal/             the store WAL (never trimmed; the source of truth)
+  //   checkpoint.snap  the latest engine snapshot
+  //   store.img        the store image of the latest checkpoint, a cache
+  //                    of a WAL prefix (store/store_image.h)
   static Result<std::unique_ptr<Tenant>> Open(TenantConfig config,
                                               const std::string& state_dir);
 
@@ -72,23 +85,33 @@ class Tenant {
   // Full engine access for in-process embedders (tests register
   // procedures, inspect layout); the daemon itself stays on frontend().
   engine::RcedaEngine& engine() { return *engine_; }
+  // The tenant's RFID store; null when the tenant runs without one.
+  const store::Database* db() const { return db_.get(); }
 
   std::mutex& mu() { return mu_; }
 
-  // Serializes engine state (which syncs the WAL first) and atomically
-  // replaces checkpoint.snap. The durability point of the SIGTERM path.
+  // Serializes engine state (which syncs the WAL first), writes the
+  // store image at the WAL's last LSN, and atomically replaces
+  // checkpoint.snap. The durability point of the SIGTERM path.
   Status Checkpoint();
 
   // True when Open() found and restored a previous checkpoint.
   bool restored() const { return restored_; }
+  const TenantRecovery& recovery() const { return recovery_; }
   const std::string& checkpoint_path() const { return checkpoint_path_; }
+  const std::string& image_path() const { return image_path_; }
 
  private:
   explicit Tenant(TenantConfig config) : config_(std::move(config)) {}
 
+  // Replaces store.img with the store as of the WAL's last LSN.
+  Status WriteImage();
+
   const TenantConfig config_;
   std::string checkpoint_path_;
+  std::string image_path_;
   bool restored_ = false;
+  TenantRecovery recovery_;
   std::mutex mu_;
   // Destruction order matters: the engine drains its action stage into
   // the WAL, so it must die before the WAL, which must die before the

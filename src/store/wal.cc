@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -14,8 +13,9 @@
 #include <system_error>
 #include <utility>
 
-#include "common/crc32.h"
+#include "store/codec.h"
 #include "store/database.h"
+#include "store/sql_parser.h"
 
 namespace rfidcep::store {
 namespace {
@@ -24,10 +24,12 @@ namespace fs = std::filesystem;
 
 constexpr char kSegmentPrefix[] = "wal-";
 constexpr char kSegmentSuffix[] = ".seg";
-// Frame header: u32 payload length + u32 CRC32 of the payload.
-constexpr size_t kFrameHeader = 8;
-// Generous per-record cap; anything larger is treated as corruption.
-constexpr uint32_t kMaxPayloadBytes = 64u << 20;
+
+using codec::Dec;
+using codec::Enc;
+using codec::GetValue;
+using codec::kFrameHeader;
+using codec::PutValue;
 
 std::string SegmentName(uint64_t first_lsn) {
   char buf[48];
@@ -36,120 +38,18 @@ std::string SegmentName(uint64_t first_lsn) {
   return buf;
 }
 
-using common::Crc32;
-
-// Little-endian payload encoding, mirroring the snapshot codec style.
-class Enc {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
+// The first LSN a segment was created for, from its zero-padded name;
+// 0 when the name does not parse.
+uint64_t SegmentFirstLsn(const std::string& name) {
+  const size_t prefix = sizeof(kSegmentPrefix) - 1;
+  const size_t suffix = sizeof(kSegmentSuffix) - 1;
+  if (name.size() <= prefix + suffix) return 0;
+  uint64_t lsn = 0;
+  for (size_t i = prefix; i < name.size() - suffix; ++i) {
+    if (name[i] < '0' || name[i] > '9') return 0;
+    lsn = lsn * 10 + static_cast<uint64_t>(name[i] - '0');
   }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.append(s);
-  }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-class Dec {
- public:
-  explicit Dec(std::string_view data) : data_(data) {}
-
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  std::string Str() {
-    uint32_t n = U32();
-    if (!Need(n)) return {};
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  bool Need(size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-void PutValue(Enc& enc, const Value& v) {
-  enc.U8(static_cast<uint8_t>(v.kind()));
-  switch (v.kind()) {
-    case ValueKind::kNull:
-    case ValueKind::kUc:
-      break;
-    case ValueKind::kInt:
-      enc.I64(v.AsInt());
-      break;
-    case ValueKind::kDouble:
-      enc.U64(std::bit_cast<uint64_t>(v.AsDouble()));
-      break;
-    case ValueKind::kString:
-      enc.Str(v.AsString());
-      break;
-    case ValueKind::kTime:
-      enc.I64(v.AsTime());
-      break;
-  }
-}
-
-Value GetValue(Dec& dec) {
-  switch (static_cast<ValueKind>(dec.U8())) {
-    case ValueKind::kNull:
-      return Value::Null();
-    case ValueKind::kInt:
-      return Value::Int(dec.I64());
-    case ValueKind::kDouble:
-      return Value::Double(std::bit_cast<double>(dec.U64()));
-    case ValueKind::kString:
-      return Value::String(dec.Str());
-    case ValueKind::kTime:
-      return Value::Time(dec.I64());
-    case ValueKind::kUc:
-      return Value::Uc();
-  }
-  return Value::Null();  // Dec flags the error via ok().
+  return lsn;
 }
 
 std::string EncodeRecord(const WalRecord& record) {
@@ -205,34 +105,51 @@ bool DecodeRecord(std::string_view payload, WalRecord* out) {
 }
 
 Status ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open wal segment " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
+  out->resize(static_cast<size_t>(in.tellg()));
+  in.seekg(0);
+  if (!in.read(out->data(), static_cast<std::streamsize>(out->size()))) {
+    return Status::Internal("cannot read wal segment " + path);
+  }
   return Status::Ok();
 }
 
 // Walks one segment's records. Returns the byte offset of the first
 // invalid record (== data.size() when the whole segment is valid).
-// `expected_lsn` advances past each valid record.
+// `expected_lsn` advances past each valid record. Records at or below
+// `skip_through` are checked (CRC, kind, LSN sequence) but neither
+// decoded nor passed to `on_record`.
 size_t WalkSegment(const std::string& data, uint64_t* expected_lsn,
+                   uint64_t skip_through,
                    const std::function<void(const WalRecord&)>& on_record) {
   size_t offset = 0;
   while (offset < data.size()) {
     if (data.size() - offset < kFrameHeader) return offset;
-    Dec header(std::string_view(data).substr(offset, kFrameHeader));
-    uint32_t len = header.U32();
-    uint32_t crc = header.U32();
-    if (len > kMaxPayloadBytes || data.size() - offset - kFrameHeader < len) {
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    if (!codec::ParseFrameHeader(std::string_view(data).substr(offset), &len,
+                                 &crc) ||
+        data.size() - offset - kFrameHeader < len) {
       return offset;
     }
     std::string_view payload(data.data() + offset + kFrameHeader, len);
-    if (Crc32(payload.data(), payload.size()) != crc) return offset;
-    WalRecord record;
-    if (!DecodeRecord(payload, &record)) return offset;
-    if (record.lsn != *expected_lsn) return offset;
+    if (!codec::PayloadMatches(payload, crc)) return offset;
+    if (*expected_lsn <= skip_through) {
+      Dec head(payload);
+      const uint8_t kind = head.U8();
+      const uint64_t lsn = head.U64();
+      if (!head.ok() || kind > static_cast<uint8_t>(WalRecordKind::kAlarm) ||
+          lsn != *expected_lsn) {
+        return offset;
+      }
+    } else {
+      WalRecord record;
+      if (!DecodeRecord(payload, &record)) return offset;
+      if (record.lsn != *expected_lsn) return offset;
+      if (on_record) on_record(record);
+    }
     ++*expected_lsn;
-    if (on_record) on_record(record);
     offset += kFrameHeader + len;
   }
   return offset;
@@ -271,7 +188,8 @@ Wal::~Wal() {
   }
 }
 
-Result<std::unique_ptr<Wal>> Wal::Open(std::string dir, WalOptions options) {
+Result<std::unique_ptr<Wal>> Wal::Open(std::string dir, WalOptions options,
+                                       uint64_t from_lsn) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -279,23 +197,42 @@ Result<std::unique_ptr<Wal>> Wal::Open(std::string dir, WalOptions options) {
                             ec.message());
   }
   std::unique_ptr<Wal> wal(new Wal(std::move(dir), options));
-  RFIDCEP_RETURN_IF_ERROR(wal->ScanExisting());
+  RFIDCEP_RETURN_IF_ERROR(wal->ScanExisting(from_lsn));
   return wal;
 }
 
-Status Wal::ScanExisting() {
+Status Wal::ScanExisting(uint64_t from_lsn) {
   std::vector<std::string> names = ListSegments(dir_);
   uint64_t expected_lsn = 1;
   for (size_t i = 0; i < names.size(); ++i) {
     const std::string path = dir_ + "/" + names[i];
+    const bool final_segment = i + 1 == names.size();
+    if (!final_segment) {
+      // A sealed segment ends just below the next one's first LSN. When
+      // that whole range is at or below `from_lsn`, recovery needs
+      // neither its records nor its dedup keys: take its size from the
+      // file system and do not read it.
+      const uint64_t next_first = SegmentFirstLsn(names[i + 1]);
+      if (next_first > 0 && next_first - 1 <= from_lsn) {
+        std::error_code ec;
+        const uint64_t size = fs::file_size(path, ec);
+        if (ec) {
+          return Status::Internal("cannot stat wal segment " + path + ": " +
+                                  ec.message());
+        }
+        sealed_bytes_ += size;
+        expected_lsn = next_first;
+        continue;
+      }
+    }
     std::string data;
     RFIDCEP_RETURN_IF_ERROR(ReadFile(path, &data));
-    const bool final_segment = i + 1 == names.size();
-    size_t valid = WalkSegment(data, &expected_lsn, [&](const WalRecord& r) {
-      recovered_actions_[WalActionKey(r.rule_id, r.action_seq,
-                                      r.action_index)] =
-          r.affected;
-    });
+    size_t valid = WalkSegment(data, &expected_lsn, from_lsn,
+                               [&](const WalRecord& r) {
+                                 recovered_actions_[WalActionKey(
+                                     r.rule_id, r.action_seq,
+                                     r.action_index)] = r.affected;
+                               });
     if (valid < data.size()) {
       if (!final_segment) {
         return Status::InvalidArgument(
@@ -377,13 +314,8 @@ Result<uint64_t> Wal::Append(WalRecord record) {
   }
   record.lsn = next_lsn_;
   std::string payload = EncodeRecord(record);
-  Enc frame;
-  frame.U32(static_cast<uint32_t>(payload.size()));
-  frame.U32(Crc32(payload.data(), payload.size()));
-  std::string bytes = frame.Take();
-  bytes += payload;
-  buffer_ += bytes;
-  segment_bytes_ += bytes.size();
+  codec::AppendFrame(payload, &buffer_);
+  segment_bytes_ += kFrameHeader + payload.size();
   ++next_lsn_;
   // Batch boundaries come from callers via Flush()/Sync(); the size cap
   // just bounds memory if a caller never marks one.
@@ -420,16 +352,25 @@ Status Wal::Replay(uint64_t after_lsn,
   std::lock_guard<std::mutex> lock(mu_);
   RFIDCEP_RETURN_IF_ERROR(FlushLocked());  // Replay reads the files.
   std::vector<std::string> names = ListSegments(dir_);
+  // Start at the segment holding after_lsn + 1: the last one created at
+  // or below that LSN. Earlier segments are not read.
+  size_t start = 0;
   uint64_t expected_lsn = 1;
-  for (const std::string& name : names) {
-    const std::string path = dir_ + "/" + name;
+  for (size_t i = 1; i < names.size(); ++i) {
+    const uint64_t first = SegmentFirstLsn(names[i]);
+    if (first == 0 || first > after_lsn + 1) break;
+    start = i;
+    expected_lsn = first;
+  }
+  for (size_t i = start; i < names.size(); ++i) {
+    const std::string path = dir_ + "/" + names[i];
     std::string data;
     RFIDCEP_RETURN_IF_ERROR(ReadFile(path, &data));
     Status status;
-    size_t valid = WalkSegment(data, &expected_lsn, [&](const WalRecord& r) {
-      if (!status.ok() || r.lsn <= after_lsn) return;
-      status = fn(r);
-    });
+    size_t valid = WalkSegment(data, &expected_lsn, after_lsn,
+                               [&](const WalRecord& r) {
+                                 if (status.ok()) status = fn(r);
+                               });
     RFIDCEP_RETURN_IF_ERROR(status);
     if (valid < data.size()) {
       // Open() already trimmed torn tails, so mid-replay damage means the
@@ -455,6 +396,9 @@ uint64_t Wal::total_bytes() const {
 Result<uint64_t> ReplayWalIntoDatabase(const Wal& wal, Database* db,
                                        uint64_t after_lsn) {
   uint64_t last = after_lsn;
+  // A log holds one statement text per rule action, repeated on every
+  // firing: parse each distinct text once.
+  std::unordered_map<std::string, SqlStatement> parsed;
   Status replayed = wal.Replay(after_lsn, [&](const WalRecord& record) {
     if (record.kind != WalRecordKind::kSql) {
       // Procedure/alarm frames have no store effect; their keys matter
@@ -462,12 +406,19 @@ Result<uint64_t> ReplayWalIntoDatabase(const Wal& wal, Database* db,
       last = record.lsn;
       return Status::Ok();
     }
-    Result<ExecResult> result = ExecuteSql(record.sql, db, record.params);
-    if (!result.ok()) {
-      return Status(result.status().code(),
-                    "replaying wal lsn " + std::to_string(record.lsn) + " (" +
-                        record.sql + "): " + result.status().message());
+    auto failed = [&](const Status& status) {
+      return Status(status.code(), "replaying wal lsn " +
+                                       std::to_string(record.lsn) + " (" +
+                                       record.sql + "): " + status.message());
+    };
+    auto stmt = parsed.find(record.sql);
+    if (stmt == parsed.end()) {
+      Result<SqlStatement> parsed_stmt = ParseSql(record.sql);
+      if (!parsed_stmt.ok()) return failed(parsed_stmt.status());
+      stmt = parsed.emplace(record.sql, std::move(*parsed_stmt)).first;
     }
+    Result<ExecResult> result = ExecuteSql(stmt->second, db, record.params);
+    if (!result.ok()) return failed(result.status());
     last = record.lsn;
     return Status::Ok();
   });

@@ -26,6 +26,10 @@
 // segment. Open() validates every record, truncates a torn or corrupt
 // tail in the last segment, and treats corruption in any earlier
 // segment as an unrecoverable error.
+//
+// The log is never trimmed: a store image (store/store_image.h) caches
+// the store at some LSN so that recovery reads only the records above
+// it, but the segments stay the source of truth behind that cache.
 
 #ifndef RFIDCEP_STORE_WAL_H_
 #define RFIDCEP_STORE_WAL_H_
@@ -107,8 +111,16 @@ class Wal {
   // segments, truncates a torn tail in the final segment, and collects
   // the executed-action dedup map. Fails on corruption anywhere before
   // the final segment's tail.
+  //
+  // `from_lsn` is the LSN recovery starts from (a store image's LSN,
+  // or a snapshot's durable LSN, whichever is lower): sealed segments
+  // whose records all lie at or below it are not read — their sizes
+  // come from the file system, and corruption in them goes unnoticed
+  // until a Replay() reaches them — and the dedup map holds only keys
+  // above it. 0 scans and validates everything.
   static Result<std::unique_ptr<Wal>> Open(std::string dir,
-                                           WalOptions options = {});
+                                           WalOptions options = {},
+                                           uint64_t from_lsn = 0);
 
   ~Wal();
   Wal(const Wal&) = delete;
@@ -127,7 +139,8 @@ class Wal {
   Status Sync();
 
   // Invokes `fn` for every record with lsn > after_lsn, in LSN order.
-  // Thread-safe with respect to concurrent Append.
+  // Reading starts at the segment holding after_lsn + 1, located by the
+  // segment file names. Thread-safe with respect to concurrent Append.
   Status Replay(uint64_t after_lsn,
                 const std::function<Status(const WalRecord&)>& fn) const;
 
@@ -136,7 +149,8 @@ class Wal {
   // Total bytes across all segments after the last append. Thread-safe.
   uint64_t total_bytes() const;
 
-  // State found by the Open() scan (immutable afterwards).
+  // State found by the Open() scan (immutable afterwards). The action
+  // map holds the keys of records above Open()'s `from_lsn`.
   uint64_t recovered_lsn() const { return recovered_lsn_; }
   const WalActionMap& recovered_actions() const { return recovered_actions_; }
 
@@ -145,7 +159,8 @@ class Wal {
  private:
   Wal(std::string dir, WalOptions options);
 
-  Status ScanExisting();          // Open-time validation + torn-tail trim.
+  // Open-time validation + torn-tail trim.
+  Status ScanExisting(uint64_t from_lsn);
   // Creates a fresh segment file. Const because rotation happens from
   // const flush paths; only touches mutable append state.
   Status OpenSegment(uint64_t first_lsn) const;
@@ -173,7 +188,8 @@ class Wal {
 
 // Replays every logged SQL statement with lsn > after_lsn into `db`,
 // rebuilding store contents; kProcedure/kAlarm records advance the
-// cursor without re-invoking anything. Returns the last visited LSN
+// cursor without re-invoking anything. Each distinct statement text is
+// parsed once per call. Returns the last visited LSN
 // (or `after_lsn` when the log holds nothing newer, which makes a
 // second replay with the returned cursor a no-op).
 Result<uint64_t> ReplayWalIntoDatabase(const Wal& wal, Database* db,

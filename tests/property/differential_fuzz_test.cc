@@ -19,7 +19,10 @@
 //      the write-ahead log (mid-record torn tails included), and
 //      WAL replay + snapshot restore must reproduce the uninterrupted
 //      run's match stream AND byte-identical final tables (exactly-once
-//      effects), across sync/async dispatch and shard layouts;
+//      effects), across sync/async dispatch and shard layouts, with the
+//      store rebuilt from the whole WAL or from a store image plus the
+//      WAL tail above it (the image taken at the checkpoint, or later
+//      than the snapshot as a crash between the two renames leaves it);
 //   7. metamorphic rewrite axis (ISSUE 9) — each case's compiled rule
 //      expressions get a random chain of provably equivalent rewrites
 //      (engine/rewrite.h: operand permutation, OR rotation, ⊥-branch
@@ -56,11 +59,13 @@
 #include "engine/engine.h"
 #include "engine/reference/reference_interpreter.h"
 #include "engine/rewrite.h"
+#include "engine/snapshot.h"
 #include "rules/parser.h"
 #include "sim/trace.h"
 #include "sim/workload.h"
 #include "store/csv.h"
 #include "store/database.h"
+#include "store/store_image.h"
 #include "store/wal.h"
 #include "tests/property/reference_oracle.h"
 
@@ -660,7 +665,11 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
 // multisets per table when it re-partitions (cross-rule row interleaving
 // is the one thing sharding does not promise). Dispatch mode (sync or
 // async) and shard count are salt-chosen independently on both sides of
-// the crash.
+// the crash. So is how the store comes back: a full WAL replay, or a
+// store image plus the WAL above it — the image written at the
+// checkpoint (as Tenant::Checkpoint does), or one written later than the
+// snapshot (a crash after the image rename and before the snapshot
+// rename), which leaves dedup keys between the two LSNs to honour.
 
 // Identity of one procedure/alarm invocation, comparable between a
 // rig's handler log and the WAL's surviving kProcedure/kAlarm frames.
@@ -678,10 +687,16 @@ struct DurableRig {
   SpansByRule matches;
 
   // Compile is left to the caller: a WAL can only attach before it.
-  static std::unique_ptr<DurableRig> Make(const std::string& program,
-                                          bool async, int shards) {
+  // A recovered `db` replaces the fresh store with the RFID schema.
+  static std::unique_ptr<DurableRig> Make(
+      const std::string& program, bool async, int shards,
+      std::unique_ptr<store::Database> db = nullptr) {
     auto r = std::make_unique<DurableRig>();
-    if (!r->db->InstallRfidSchema().ok()) return nullptr;
+    if (db != nullptr) {
+      r->db = std::move(db);
+    } else if (!r->db->InstallRfidSchema().ok()) {
+      return nullptr;
+    }
     EngineOptions options;
     options.detector.context = ParameterContext::kChronicle;
     options.shards = shards;
@@ -781,6 +796,8 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
   const bool recover_async = (salt & 4) != 0;
   const int recover_shards = (salt & 8) != 0 ? 2 : 1;
   const size_t cut = c.stream.empty() ? 0 : (salt >> 4) % (c.stream.size() + 1);
+  enum class ImageMode { kNone, kAtCheckpoint, kNewerThanSnapshot };
+  const auto image_mode = static_cast<ImageMode>((salt >> 40) % 3);
 
   // Uninterrupted synchronous run on the crash layout: the oracle for
   // the match stream and the final table contents. Dispatch mode never
@@ -800,11 +817,15 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
 
   fs::path wal_dir = fs::path(::testing::TempDir()) / "diff_fuzz_wal";
   fs::remove_all(wal_dir);
+  const std::string image_path =
+      (fs::path(::testing::TempDir()) / "diff_fuzz_store.img").string();
+  fs::remove(image_path);
   store::WalOptions wal_options;
   wal_options.segment_bytes = 512;  // Tiny segments: cuts cross rotations.
 
   std::string snapshot_bytes;
   uint64_t checkpoint_bytes = 0;
+  uint64_t image_lsn = 0;
   uint64_t final_bytes = 0;
   SpansByRule head_matches;
   std::map<std::string, int> crashed_inv;
@@ -827,14 +848,38 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
       return "checkpoint failed: " + s.ToString();
     }
     head_matches = crashed->matches;
-    checkpoint_bytes = (*wal)->total_bytes();  // Synced by SerializeState.
+    // The image's order of work in Tenant::Checkpoint: drain the async
+    // stage, sync, write the store at the WAL's last LSN. Its records
+    // are then on disk, so the crash below never cuts under them.
+    auto write_image = [&]() -> std::optional<std::string> {
+      crashed->engine->DrainActions();
+      if (Status s = (*wal)->Sync(); !s.ok()) return "sync failed";
+      image_lsn = (*wal)->last_lsn();
+      if (!store::WriteStoreImage(*crashed->db, image_lsn, image_path).ok()) {
+        return "store image write failed";
+      }
+      return std::nullopt;
+    };
+    if (image_mode == ImageMode::kAtCheckpoint) {
+      if (auto failed = write_image()) return *failed;
+    }
+    checkpoint_bytes = (*wal)->total_bytes();  // Synced above.
     // The doomed tail: processed and logged, then thrown away past the
     // salt-chosen crash point below.
     const size_t doomed = cut + (salt >> 9) % (c.stream.size() - cut + 1);
+    const size_t image_at = cut + (salt >> 44) % (doomed - cut + 1);
     for (size_t i = cut; i < doomed; ++i) {
+      if (image_mode == ImageMode::kNewerThanSnapshot && i == image_at) {
+        if (auto failed = write_image()) return *failed;
+        checkpoint_bytes = (*wal)->total_bytes();
+      }
       if (!crashed->engine->Process(c.stream[i]).ok()) {
         return "crash-run tail processing failed";
       }
+    }
+    if (image_mode == ImageMode::kNewerThanSnapshot && image_at == doomed) {
+      if (auto failed = write_image()) return *failed;
+      checkpoint_bytes = (*wal)->total_bytes();
     }
     crashed->engine.reset();  // Teardown drains the async stage into the WAL.
     crashed_inv = std::move(crashed->invocations);
@@ -847,9 +892,29 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
                          ? salt % (final_bytes - checkpoint_bytes + 1)
                          : 0));
 
-  Result<std::unique_ptr<store::Wal>> wal =
-      store::Wal::Open(wal_dir.string(), wal_options);
-  if (!wal.ok()) return "wal reopen failed: " + wal.status().ToString();
+  // Store recovery as Tenant::Open runs it: the image (if any) plus the
+  // WAL above it, the WAL opened from the lower of the image's and the
+  // snapshot's LSNs.
+  engine::snapshot::EngineSnapshot decoded;
+  if (Status s = engine::snapshot::DecodeEngineSnapshot(snapshot_bytes,
+                                                        &decoded);
+      !s.ok()) {
+    return "snapshot decode failed: " + s.ToString();
+  }
+  Result<store::RecoveredStore> recovered_store = store::RecoverStore(
+      image_path, wal_dir.string(), decoded.durable_lsn, wal_options);
+  if (!recovered_store.ok()) {
+    return "store recovery failed: " + recovered_store.status().ToString();
+  }
+  if (image_mode != ImageMode::kNone &&
+      (recovered_store->image_fallback ||
+       recovered_store->image_lsn != image_lsn ||
+       recovered_store->replayed_records !=
+           recovered_store->wal->last_lsn() - image_lsn)) {
+    return "store image not used: image LSN " + std::to_string(image_lsn) +
+           ", recovered from " + std::to_string(recovered_store->image_lsn);
+  }
+  std::unique_ptr<store::Wal>* wal = &recovered_store->wal;
   // Procedure/alarm frames that survived the cut: the durable record of
   // which callbacks already ran. Captured now, before the recovered run
   // appends its own frames to the same log.
@@ -863,13 +928,9 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
       !s.ok()) {
     return "wal procedure scan failed: " + s.ToString();
   }
-  auto recovered = DurableRig::Make(program, recover_async, recover_shards);
+  auto recovered = DurableRig::Make(program, recover_async, recover_shards,
+                                    std::move(recovered_store->db));
   if (recovered == nullptr) return "recovery rig failed to build";
-  if (Result<uint64_t> cursor =
-          store::ReplayWalIntoDatabase(**wal, recovered->db.get());
-      !cursor.ok()) {
-    return "wal replay failed: " + cursor.status().ToString();
-  }
   if (!recovered->engine->AttachWal(wal->get()).ok() ||
       !recovered->engine->Compile().ok()) {
     return "recovery rig compile failed";
@@ -889,7 +950,12 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
            std::to_string(c.stream.size()) + ", " +
            (crash_async ? "async" : "sync") + std::to_string(crash_shards) +
            " -> " + (recover_async ? "async" : "sync") +
-           std::to_string(recover_shards) + ")";
+           std::to_string(recover_shards) +
+           (image_mode == ImageMode::kNone ? ", full replay"
+            : image_mode == ImageMode::kAtCheckpoint
+                ? ", image at checkpoint"
+                : ", image newer than snapshot") +
+           ")";
   };
   for (const auto& [rule_id, expected] : reference->matches) {
     std::vector<Span> combined = head_matches[rule_id];
@@ -958,6 +1024,7 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
     }
   }
   fs::remove_all(wal_dir);
+  fs::remove(image_path);
   return std::nullopt;
 }
 
@@ -1417,14 +1484,17 @@ TEST(DifferentialFuzz, CrashRecoveryAgrees) {
 TEST(DifferentialFuzz, DurableCrashRecoveryAgrees) {
   // WAL axis of the tentpole: every seeded case carries SQL actions, the
   // run is killed at a salt-chosen byte offset into the write-ahead log
-  // (mid-record torn tails included), and WAL replay + snapshot restore
-  // must reproduce the uninterrupted run exactly — match stream and
+  // (mid-record torn tails included), and store recovery (full WAL
+  // replay, or a store image plus the WAL tail) + snapshot restore must
+  // reproduce the uninterrupted run exactly — match stream and
   // byte-identical final store tables.
   const int cases = FuzzCases();
+  int image_modes[3] = {0, 0, 0};
   for (int i = 0; i < cases; ++i) {
     uint64_t seed = 0xda7aULL * 1000003ULL + static_cast<uint64_t>(i);
     FuzzCase c = GenDurableCase(seed);
     const uint64_t salt = seed * 0x9e3779b97f4a7c15ULL;
+    ++image_modes[(salt >> 40) % 3];
     auto check = [salt](const FuzzCase& trial) {
       return CheckDurableRecoveryCase(trial, salt);
     };
@@ -1435,6 +1505,48 @@ TEST(DifferentialFuzz, DurableCrashRecoveryAgrees) {
       FAIL() << ReportDivergence(minimized, min_why.value_or(*why), seed);
     }
   }
+  // Every store-recovery mode (full replay, image at the checkpoint,
+  // image newer than the snapshot) gets a fair share of the sweep.
+  for (int count : image_modes) EXPECT_GT(count, cases / 5);
+}
+
+// A rule-sharded shard that sees none of a batch used to keep its
+// expirations until its next routed observation, while the advance a
+// checkpoint captures at fired them at once: the checkpointed run then
+// logged rule f1's firing before f2's, the uninterrupted run after it,
+// and a same-layout recovery was not byte-identical. (Minimized from
+// sweep seed 0xda7a * 1000003 + 7172; every store-recovery mode failed
+// it.)
+TEST(DifferentialFuzz, RuleShardedCheckpointKeepsCrossRuleOrder) {
+  FuzzCase c;
+  c.rules = {
+      "CREATE RULE f1, fuzz generated ON WITHIN(TSEQ+(observation(\"B\", o, "
+      "t1), 1sec, 4sec), 10sec) IF true DO INSERT INTO OBSERVATION VALUES "
+      "(\"wal\", \"probe\", 1)",
+      "CREATE RULE f2, fuzz generated ON WITHIN(SEQ(TSEQ(NOT observation("
+      "\"B\", o4, t5); (observation(\"A\", o, t3) AND observation(\"A\", o, "
+      "t2)), 0sec, 3sec); observation(\"C\", o, t1)), 7sec) IF true DO "
+      "INSERT INTO OBSERVATION VALUES (\"relay\", o, t2)",
+  };
+  const std::pair<const char*, const char*> reads[] = {
+      {"C", "y"}, {"C", "x"}, {"A", "y"}, {"A", "x"}, {"C", "x"},
+      {"A", "z"}, {"A", "z"}, {"C", "z"}, {"A", "z"}, {"B", "x"},
+      {"B", "y"}, {"A", "y"}, {"A", "z"}, {"A", "x"}, {"A", "z"},
+      {"C", "x"}, {"A", "z"}, {"B", "y"}, {"C", "y"}, {"B", "y"},
+      {"A", "x"}};
+  const TimePoint times[] = {
+      2000000,  2999999,  3999999,  4999999,  6999999,  8999999,
+      8999999,  9999998,  10999998, 13999998, 16999998, 19999998,
+      22999998, 22999998, 23999998, 23999998, 25999998, 28999998,
+      28999999, 28999999, 28999999};
+  for (size_t i = 0; i < std::size(reads); ++i) {
+    c.stream.push_back(Observation{reads[i].first, reads[i].second, times[i]});
+  }
+  // The sweep's salt for that seed: sync 2 shards on both sides of the
+  // crash, checkpoint after 13 observations.
+  const uint64_t salt = 55930174962ULL * 0x9e3779b97f4a7c15ULL;
+  std::optional<std::string> why = CheckDurableRecoveryCase(c, salt);
+  EXPECT_FALSE(why.has_value()) << why.value_or("");
 }
 
 // --- Corpus replay -----------------------------------------------------------

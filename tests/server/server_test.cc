@@ -14,14 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
+#include "store/csv.h"
 #include "store/database.h"
+#include "store/store_image.h"
 
 namespace rfidcep::server {
 namespace {
@@ -164,17 +169,19 @@ class Client {
 
 struct Reference {
   explicit Reference(std::string_view rules, engine::EngineOptions options =
-                                                 {}) {
+                                                 {},
+                     bool procedures = true) {
     EXPECT_TRUE(db.InstallRfidSchema().ok());
     engine = std::make_unique<engine::RcedaEngine>(&db, events::Environment{},
                                                    options);
     EXPECT_TRUE(engine->AddRulesFromText(rules).ok());
-    engine->RegisterProcedure("raise alarm",
-                              [this](const engine::RuleFiring&,
-                                     const std::string&) { ++alarms; });
-    engine->RegisterProcedure("notify security",
-                              [this](const engine::RuleFiring&,
-                                     const std::string&) { ++alarms; });
+    if (procedures) {
+      for (const char* procedure : {"raise alarm", "notify security"}) {
+        engine->RegisterProcedure(procedure,
+                                  [this](const engine::RuleFiring&,
+                                         const std::string&) { ++alarms; });
+      }
+    }
     EXPECT_TRUE(engine->Compile().ok());
   }
 
@@ -220,6 +227,25 @@ class ServerTest : public ::testing::Test {
             ++*count;
           });
     }
+  }
+
+  // Streams `batches` into a fresh tenant and SIGTERMs it (Shutdown
+  // checkpoints: snapshot plus store image). Counts alarm invocations
+  // into `alarms` unless it is null.
+  static void RunAndShutdown(
+      const ServerOptions& options, const TenantConfig& config,
+      const std::vector<std::vector<events::Observation>>& batches,
+      int* alarms) {
+    Server server(options);
+    ASSERT_TRUE(server.AddTenant(config).ok());
+    if (alarms != nullptr) CountAlarms(server, config.name, alarms);
+    ASSERT_TRUE(server.Start().ok());
+    Client client;
+    ASSERT_TRUE(client.Connect(server.bound_port(), config.name));
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(client.Roundtrip(EncodeBatch(batch)));
+    }
+    ASSERT_TRUE(server.Shutdown().ok());
   }
 
   ServerOptions Options(const std::string& subdir = "") {
@@ -366,6 +392,189 @@ TEST_F(ServerTest, ShutdownMidStreamRestartsOntoDifferentShardCount) {
     EXPECT_GT(alarms_before, 0);
     EXPECT_GT(alarms_after, 0);
 
+    EXPECT_TRUE(server.Shutdown().ok());
+  }
+}
+
+// Every table of a tenant's store, rows in scan order.
+std::string DumpStore(const store::Database& db) {
+  std::vector<std::string> names = db.TableNames();
+  std::sort(names.begin(), names.end());
+  std::string out;
+  for (const std::string& name : names) {
+    out += name + "\n" + store::TableToCsv(*db.GetTable(name));
+  }
+  return out;
+}
+
+// The value of one sample line `name value` in a /metrics export.
+std::string MetricValue(const std::string& metrics, const std::string& name) {
+  const size_t at = metrics.find("\n" + name + " ");
+  if (at == std::string::npos) return "absent";
+  const size_t begin = at + name.size() + 2;
+  return metrics.substr(begin, metrics.find('\n', begin) - begin);
+}
+
+// A restart after a checkpoint loads the store image and replays no WAL
+// record, in both dispatch modes, and still reconciles exactly.
+TEST_F(ServerTest, RestartAfterCheckpointReplaysNoWalRecords) {
+  const std::vector<events::Observation> trace = MakeTrace(600);
+  const auto batches = Batched(trace, 32);
+  const size_t split = batches.size() / 2;
+  const std::vector<std::vector<events::Observation>> head(
+      batches.begin(), batches.begin() + static_cast<ptrdiff_t>(split));
+
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    const std::string subdir = async ? "async" : "sync";
+    TenantConfig config = AlphaConfig(/*shards=*/1);
+    config.async_actions = async;
+    // An async tenant restores its snapshot's in-flight firings inside
+    // Open(), before a test could register a procedure handler (and the
+    // stage's worker may already be dispatching them), so the async run
+    // counts procedures as unknown on both sides, as the daemon does.
+    Reference ref(kAlphaRules, {}, /*procedures=*/!async);
+    ASSERT_TRUE(ref.engine->ProcessAll(trace).ok());
+    ASSERT_TRUE(ref.engine->Flush().ok());
+    int alarms = 0;
+    RunAndShutdown(Options(subdir), config, head, async ? nullptr : &alarms);
+
+    Server server(Options(subdir));
+    ASSERT_TRUE(server.AddTenant(config).ok());
+    Tenant* tenant = server.tenant("alpha");
+    ASSERT_TRUE(tenant->restored());
+    EXPECT_FALSE(tenant->recovery().image_fallback);
+    EXPECT_EQ(tenant->recovery().wal_records, 0u);
+    EXPECT_GT(tenant->recovery().image_lsn, 0u);
+    EXPECT_EQ(tenant->recovery().image_lsn, tenant->engine().wal()->last_lsn());
+    if (!async) {
+      // Nothing above the snapshot to deduplicate: the dispatcher builds
+      // no keys at all. (An async snapshot's in-flight firings were
+      // logged after its durable LSN; their keys are kept.)
+      EXPECT_TRUE(tenant->engine().wal()->recovered_actions().empty());
+    }
+    const std::string metrics = server.ExportMetrics();
+    EXPECT_EQ(MetricValue(metrics,
+                          "rfidcepd_recovery_wal_records{tenant=\"alpha\"}"),
+              "0");
+    EXPECT_EQ(
+        MetricValue(metrics,
+                    "rfidcepd_store_image_fallback_total{tenant=\"alpha\"}"),
+        "0");
+    if (!async) CountAlarms(server, "alpha", &alarms);
+    ASSERT_TRUE(server.Start().ok());
+
+    Client client;
+    ASSERT_TRUE(client.Connect(server.bound_port(), "alpha"));
+    for (size_t i = split; i < batches.size(); ++i) {
+      ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+    }
+    ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
+    // A kCheckpoint frame rewrites the image; its gauges match the file.
+    ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kCheckpoint, "")));
+    const std::string after = server.ExportMetrics();
+    EXPECT_EQ(MetricValue(after, "store_image_bytes{tenant=\"alpha\"}"),
+              std::to_string(fs::file_size(tenant->image_path())));
+    EXPECT_NE(MetricValue(after, "store_image_ns{tenant=\"alpha\"}"), "0");
+
+    StatsReply stats;
+    ASSERT_TRUE(client.Stats(&stats));
+    const engine::EngineStats& want = ref.engine->stats();
+    EXPECT_EQ(stats.observations, want.detector.observations);
+    EXPECT_EQ(stats.matches, want.detector.rule_matches);
+    EXPECT_EQ(stats.rules_fired, want.rules_fired);
+    EXPECT_EQ(stats.sql_actions, want.sql_actions_executed);
+    EXPECT_EQ(stats.procedures, want.procedures_invoked);
+    for (const auto& [rule, count] : stats.fired) {
+      EXPECT_EQ(count, ref.engine->FiredCount(rule)) << rule;
+    }
+    EXPECT_EQ(alarms, ref.alarms);
+    EXPECT_EQ(DumpStore(*tenant->db()), DumpStore(ref.db));
+    EXPECT_TRUE(server.Shutdown().ok());
+  }
+}
+
+// Removing or damaging the image costs a full WAL replay, counted in
+// /metrics, and gives the same store and the same kStats.
+TEST_F(ServerTest, DamagedImageFallsBackToFullReplay) {
+  const std::vector<events::Observation> trace = MakeTrace(600);
+  const auto batches = Batched(trace, 32);
+  const size_t split = batches.size() / 2;
+  const std::vector<std::vector<events::Observation>> head(
+      batches.begin(), batches.begin() + static_cast<ptrdiff_t>(split));
+  Reference ref(kAlphaRules);
+  ASSERT_TRUE(ref.engine->ProcessAll(trace).ok());
+  ASSERT_TRUE(ref.engine->Flush().ok());
+
+  int head_alarms = 0;
+  RunAndShutdown(Options("pristine"), AlphaConfig(1), head, &head_alarms);
+  const fs::path image = dir_ / "pristine" / "alpha" / "store.img";
+  ASSERT_TRUE(fs::exists(image));
+  const uint64_t size = fs::file_size(image);
+
+  const std::vector<std::pair<std::string, std::function<void(fs::path)>>>
+      damages = {
+          {"removed", [](const fs::path& p) { fs::remove(p); }},
+          {"flipped",
+           [size](const fs::path& p) {
+             std::fstream f(p, std::ios::in | std::ios::out |
+                                   std::ios::binary);
+             f.seekp(static_cast<std::streamoff>(size / 2));
+             f.put('\x5a');
+           }},
+          {"truncated",
+           [size](const fs::path& p) { fs::resize_file(p, size / 3); }},
+          {"past_wal_end",
+           [](const fs::path& p) {
+             store::Database db;
+             Result<uint64_t> lsn = store::ReadStoreImage(p.string(), &db);
+             ASSERT_TRUE(lsn.ok());
+             ASSERT_TRUE(
+                 store::WriteStoreImage(db, *lsn + 1000, p.string()).ok());
+           }},
+      };
+  for (const auto& [name, damage] : damages) {
+    SCOPED_TRACE(name);
+    fs::copy(dir_ / "pristine", dir_ / name, fs::copy_options::recursive);
+    damage(dir_ / name / "alpha" / "store.img");
+
+    Server server(Options(name));
+    ASSERT_TRUE(server.AddTenant(AlphaConfig(1)).ok());
+    Tenant* tenant = server.tenant("alpha");
+    EXPECT_TRUE(tenant->recovery().image_fallback);
+    EXPECT_EQ(tenant->recovery().image_lsn, 0u);
+    EXPECT_EQ(tenant->recovery().wal_records,
+              tenant->engine().wal()->last_lsn());
+    const std::string metrics = server.ExportMetrics();
+    EXPECT_EQ(
+        MetricValue(metrics,
+                    "rfidcepd_store_image_fallback_total{tenant=\"alpha\"}"),
+        "1");
+    EXPECT_EQ(MetricValue(metrics,
+                          "rfidcepd_recovery_wal_records{tenant=\"alpha\"}"),
+              std::to_string(tenant->recovery().wal_records));
+    int alarms = head_alarms;
+    CountAlarms(server, "alpha", &alarms);
+    ASSERT_TRUE(server.Start().ok());
+    Client client;
+    ASSERT_TRUE(client.Connect(server.bound_port(), "alpha"));
+    for (size_t i = split; i < batches.size(); ++i) {
+      ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+    }
+    ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
+    StatsReply stats;
+    ASSERT_TRUE(client.Stats(&stats));
+    const engine::EngineStats& want = ref.engine->stats();
+    EXPECT_EQ(stats.observations, want.detector.observations);
+    EXPECT_EQ(stats.matches, want.detector.rule_matches);
+    EXPECT_EQ(stats.rules_fired, want.rules_fired);
+    EXPECT_EQ(stats.sql_actions, want.sql_actions_executed);
+    EXPECT_EQ(stats.procedures, want.procedures_invoked);
+    for (const auto& [rule, count] : stats.fired) {
+      EXPECT_EQ(count, ref.engine->FiredCount(rule)) << rule;
+    }
+    EXPECT_EQ(alarms, ref.alarms);
+    EXPECT_EQ(DumpStore(*tenant->db()), DumpStore(ref.db));
     EXPECT_TRUE(server.Shutdown().ok());
   }
 }

@@ -286,6 +286,73 @@ TEST_F(WalTest, CorruptionInEarlierSegmentFailsOpen) {
       << wal.status().message();
 }
 
+// Recovery from an image opens the log from the image's LSN: sealed
+// segments wholly at or below it are not read, so damage there does not
+// stop the open (Open from 0, above, still refuses the directory), and
+// the dedup map holds only the keys above it.
+TEST_F(WalTest, OpenFromLsnSkipsSealedSegmentsBelowIt) {
+  WalOptions small;
+  small.segment_bytes = 64;  // Every record rotates into its own segment.
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie(small);
+    for (uint64_t seq = 1; seq <= 6; ++seq) {
+      ASSERT_TRUE(wal->Append(MakeRecord(seq, 0)).ok());
+    }
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  std::vector<fs::path> files = SegmentFiles();
+  ASSERT_EQ(files.size(), 6u);
+  uint64_t total = 0;
+  for (const fs::path& file : files) total += fs::file_size(file);
+  {
+    std::fstream f(files[0], std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(10);
+    f.put('\xff');
+  }
+  ASSERT_FALSE(Wal::Open(dir_.string(), small).ok());
+
+  Result<std::unique_ptr<Wal>> opened = Wal::Open(dir_.string(), small, 2);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  Wal& wal = **opened;
+  EXPECT_EQ(wal.recovered_lsn(), 6u);
+  EXPECT_EQ(wal.total_bytes(), total);
+  EXPECT_EQ(wal.recovered_actions().size(), 4u);
+  EXPECT_EQ(wal.recovered_actions().count(WalActionKey("r2", 2, 0)), 0u);
+  EXPECT_EQ(wal.recovered_actions().count(WalActionKey("r3", 3, 0)), 1u);
+
+  // A replay from the cursor starts at the segment holding LSN 3 and
+  // never reads the damaged one; a replay from 0 reaches it and fails.
+  std::vector<WalRecord> tail = ReplayAll(wal, 2);
+  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(tail.front().lsn, 3u);
+  EXPECT_FALSE(
+      wal.Replay(0, [](const WalRecord&) { return Status::Ok(); }).ok());
+
+  Result<uint64_t> lsn = wal.Append(MakeRecord(7, 0));
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, 7u);
+}
+
+TEST_F(WalTest, ReplayFromCursorMatchesFullReplaySuffix) {
+  WalOptions small;
+  small.segment_bytes = 150;  // A few records per segment.
+  std::unique_ptr<Wal> wal = OpenOrDie(small);
+  for (uint64_t seq = 1; seq <= 25; ++seq) {
+    ASSERT_TRUE(wal->Append(MakeRecord(seq, 0)).ok());
+  }
+  ASSERT_GT(SegmentFiles().size(), 3u);
+  const std::vector<WalRecord> all = ReplayAll(*wal);
+  ASSERT_EQ(all.size(), 25u);
+  for (uint64_t after = 0; after <= 26; ++after) {
+    std::vector<WalRecord> tail = ReplayAll(*wal, after);
+    ASSERT_EQ(tail.size(), after >= 25 ? 0u : 25 - after) << after;
+    for (size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(tail[i].lsn, after + 1 + i);
+      EXPECT_EQ(tail[i].rule_id, all[after + i].rule_id);
+    }
+  }
+}
+
 TEST_F(WalTest, EmptySegmentFileIsValid) {
   fs::create_directories(dir_);
   std::ofstream(dir_ / "wal-00000000000000000001.seg").flush();
