@@ -16,7 +16,10 @@ Two runs over the same generated trace:
 The interrupted run's final stats must equal the oracle's exactly —
 observations, matches, rules fired, SQL actions, per-rule fired counts —
 proving the checkpoint/restore lifecycle loses nothing and repeats
-nothing. The restarted daemon's /metrics and /healthz are scraped too.
+nothing. The restarted daemon's /metrics and /healthz are scraped too:
+every frame is timed once, so the tenant's rfidcepd_frame_us count must
+equal rfidcepd_frames_total. The oracle daemon is stopped with an idle
+HTTP client connected, which must not delay its exit.
 
   3. Damaged image: truncate the tenant's store image (store.img, the
      checkpoint's cache of the WAL) and relaunch once more. The daemon
@@ -156,15 +159,29 @@ class Daemon:
         with open(self.port_file) as f:
             self.port, self.http_port = map(int, f.read().split())
 
-    def sigterm(self):
+    def sigterm(self, timeout=60):
         self.proc.send_signal(signal.SIGTERM)
-        rc = self.proc.wait(timeout=60)
+        try:
+            rc = self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+            raise AssertionError(
+                f"rfidcepd still running {timeout}s after SIGTERM")
         assert rc == 0, f"rfidcepd exited {rc} on SIGTERM"
 
     def http_get(self, path):
         url = f"http://127.0.0.1:{self.http_port}{path}"
         with urllib.request.urlopen(url, timeout=10) as response:
             return response.read().decode()
+
+
+def metric(metrics, name):
+    """The value of the sample line `name value`, or None."""
+    for line in metrics.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[-1])
+    return None
 
 
 def write_config(workdir, name, shards):
@@ -201,7 +218,18 @@ def main():
     client.roundtrip(frame(T_FLUSH))
     oracle = client.stats()
     client.close()
-    daemon.sigterm()
+    # An HTTP client that connects and never sends a request must not
+    # hold up the drain: the daemon reads a request under a deadline
+    # and drops it at once on SIGTERM.
+    idle = socket.create_connection(("127.0.0.1", daemon.http_port))
+    time.sleep(0.2)
+    started = time.time()
+    try:
+        daemon.sigterm(timeout=10)
+    finally:
+        idle.close()
+    print(f"SIGTERM with an idle HTTP client: exit 0 in "
+          f"{time.time() - started:.2f}s")
     print(f"oracle: {oracle}")
     assert oracle["observations"] == args.events, oracle
     assert oracle["sql_actions"] > 0 and oracle["matches"] > 0, oracle
@@ -237,6 +265,18 @@ def main():
         assert needle in metrics, f"missing {needle!r} in /metrics"
     # Restarted over a checkpoint: the store came from the image.
     assert 'rfidcepd_store_image_fallback_total{tenant="smoke"} 0' in metrics
+    # A connection records its last frame's time after the reply, so
+    # wait for the connection to be gone before reconciling.
+    deadline = time.time() + 10
+    while metric(metrics, "rfidcepd_connections_active") != 0:
+        assert time.time() < deadline, "client connection never closed"
+        time.sleep(0.05)
+        metrics = daemon.http_get("/metrics")
+    frames = metric(metrics, "rfidcepd_frames_total")
+    timed = metric(metrics, 'rfidcepd_frame_us_count{tenant="smoke"}')
+    assert frames and timed == frames, (
+        f"rfidcepd_frame_us count {timed} != rfidcepd_frames_total {frames}")
+    print(f"/metrics: {timed:.0f} frames timed of {frames:.0f}")
     daemon.sigterm()
 
     # Run 3: the same state with a truncated store image.

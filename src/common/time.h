@@ -44,11 +44,18 @@ std::string FormatTimePoint(TimePoint t);
 // Formats a Duration compactly, e.g. "5sec", "0.1sec", "10min", "inf".
 std::string FormatDuration(Duration d);
 
-// Saturating addition: t + d clamped to kTimeInfinity. Used when computing
-// expiry deadlines from possibly-infinite constraints.
+// Saturating addition: t + d clamped to kTimeInfinity, and
+// kTimeInfinity whenever d is kDurationInfinity. Used when computing
+// expiry deadlines from possibly-infinite constraints. Timestamps come
+// from clients and may be negative, so the sum is computed without
+// signed overflow; one that would fall below the range clamps to its
+// minimum.
 inline TimePoint AddSaturating(TimePoint t, Duration d) {
-  if (d >= kDurationInfinity - t) return kTimeInfinity;
-  return t + d;
+  TimePoint sum = 0;
+  if (d == kDurationInfinity || __builtin_add_overflow(t, d, &sum)) {
+    return d > 0 ? kTimeInfinity : std::numeric_limits<TimePoint>::min();
+  }
+  return sum;
 }
 
 }  // namespace rfidcep

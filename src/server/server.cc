@@ -7,13 +7,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 namespace rfidcep::server {
 namespace {
+
+// How long an HTTP client has to deliver its whole request. Scrapers
+// send one short request line at once; a client that connects and
+// stays silent would otherwise hold the serial HTTP thread forever.
+constexpr int kHttpReadDeadlineMs = 2000;
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
@@ -144,6 +151,7 @@ Status Server::AddTenant(TenantConfig config) {
       ->Set(static_cast<int64_t>(recovery.wal_records));
   registry_.GetCounter("rfidcepd_store_image_fallback_total" + label)
       ->Increment(recovery.image_fallback ? 1 : 0);
+  frame_us_.emplace(name, registry_.GetHistogram("rfidcepd_frame_us" + label));
   tenants_.emplace(std::move(name), std::move(*tenant));
   return Status::Ok();
 }
@@ -224,6 +232,11 @@ void Server::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Every reply is one small frame written by one send(). With Nagle
+    // on, a reply sent while the previous one is still unacknowledged
+    // waits for the client's delayed ACK, i.e. for its next frame.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (stopping_.load() ||
         conn_fds_.size() >= static_cast<size_t>(options_.max_connections)) {
@@ -328,6 +341,7 @@ bool Server::HandleFrame(int fd, Tenant* tenant, const Frame& frame,
 void Server::ServeConnection(int fd) {
   std::string hello_buffer;
   Tenant* tenant = nullptr;
+  common::Histogram* frame_us = nullptr;
   FrameReader reader;
   char chunk[64 << 10];
   uint64_t seq = 0;
@@ -367,6 +381,7 @@ void Server::ServeConnection(int fd) {
         open = false;
         continue;
       }
+      frame_us = frame_us_.find(hello.tenant)->second;
       if (!SendAll(fd, EncodeAck(0))) break;
       reader.Feed(hello_buffer.substr(consumed));
       hello_buffer.clear();
@@ -385,7 +400,13 @@ void Server::ServeConnection(int fd) {
         break;
       }
       ++seq;
-      if (!HandleFrame(fd, tenant, frame, seq)) {
+      const auto start = std::chrono::steady_clock::now();
+      const bool ok = HandleFrame(fd, tenant, frame, seq);
+      frame_us->Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
+      if (!ok) {
         open = false;
         break;
       }
@@ -421,11 +442,26 @@ std::string Server::ExportMetrics() const {
 }
 
 void Server::HandleHttp(int fd) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(kHttpReadDeadlineMs);
   std::string request;
   char chunk[4096];
   while (request.size() < (16u << 10) &&
          request.find("\r\n\r\n") == std::string::npos &&
          request.find("\n\n") == std::string::npos) {
+    // Wait for request bytes, the deadline or Shutdown()'s wake byte,
+    // whichever comes first; only bytes lead to a recv().
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    pollfd fds[2] = {{fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
+    int ready = ::poll(fds, 2, static_cast<int>(std::max<int64_t>(
+                                   left.count(), 0)));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0 || (fds[1].revents & POLLIN) != 0) {
+      ::close(fd);
+      return;
+    }
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;

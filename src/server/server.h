@@ -101,6 +101,9 @@ class Server {
   Instruments instruments_;
 
   std::map<std::string, std::unique_ptr<Tenant>, std::less<>> tenants_;
+  // Per tenant: time from a frame's last byte being parsed to its
+  // reply having been sent (decode, tenant lock, engine call, send).
+  std::map<std::string, common::Histogram*, std::less<>> frame_us_;
 
   int listen_fd_ = -1;
   int http_fd_ = -1;

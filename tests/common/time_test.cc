@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace rfidcep {
 namespace {
 
@@ -34,6 +36,23 @@ TEST(TimeTest, AddSaturating) {
   EXPECT_EQ(AddSaturating(10, 5), 15);
   EXPECT_EQ(AddSaturating(10, kDurationInfinity), kTimeInfinity);
   EXPECT_EQ(AddSaturating(kTimeInfinity - 1, 2), kTimeInfinity);
+  EXPECT_EQ(AddSaturating(kTimeInfinity - 5, 5), kTimeInfinity);
+  EXPECT_EQ(AddSaturating(kTimeInfinity - 5, 4), kTimeInfinity - 1);
+  EXPECT_EQ(AddSaturating(kTimeInfinity, 0), kTimeInfinity);
+  EXPECT_EQ(AddSaturating(0, kDurationInfinity), kTimeInfinity);
+}
+
+// Client timestamps can be negative; the clamp must not overflow there.
+TEST(TimeTest, AddSaturatingNegativeTime) {
+  constexpr TimePoint kMin = std::numeric_limits<TimePoint>::min();
+  EXPECT_EQ(AddSaturating(-10, 5), -5);
+  EXPECT_EQ(AddSaturating(-10, kSecond), kSecond - 10);
+  EXPECT_EQ(AddSaturating(-1, kDurationInfinity), kTimeInfinity);
+  EXPECT_EQ(AddSaturating(kMin, kDurationInfinity), kTimeInfinity);
+  EXPECT_EQ(AddSaturating(kMin, kDurationInfinity - 1), -2);
+  EXPECT_EQ(AddSaturating(kMin, 0), kMin);
+  EXPECT_EQ(AddSaturating(kMin, -1), kMin);
+  EXPECT_EQ(AddSaturating(-5, -kSecond), -5 - kSecond);
 }
 
 }  // namespace

@@ -15,12 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -81,22 +84,29 @@ std::vector<std::vector<events::Observation>> Batched(
   return batches;
 }
 
+// A TCP connection to 127.0.0.1:`port`, or -1.
+int ConnectLoopback(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 // A minimal protocol client for loopback tests.
 class Client {
  public:
   ~Client() { Close(); }
 
   bool Connect(int port, const std::string& tenant) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    fd_ = ConnectLoopback(port);
     if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return false;
-    }
     if (!SendRaw(EncodeHello(tenant))) return false;
     Frame frame;
     return ReadFrame(&frame) && frame.type == FrameType::kAck;
@@ -166,6 +176,14 @@ class Client {
   int fd_ = -1;
   FrameReader reader_;
 };
+
+// The value of one sample line `name value` in a /metrics export.
+std::string MetricValue(const std::string& metrics, const std::string& name) {
+  const size_t at = metrics.find("\n" + name + " ");
+  if (at == std::string::npos) return "absent";
+  const size_t begin = at + name.size() + 2;
+  return metrics.substr(begin, metrics.find('\n', begin) - begin);
+}
 
 struct Reference {
   explicit Reference(std::string_view rules, engine::EngineOptions options =
@@ -327,6 +345,21 @@ TEST_F(ServerTest, LoopbackCountsMatchLibraryPath) {
     EXPECT_GT(beta_stats.rules_fired, 0u);
 
     EXPECT_TRUE(server.Shutdown().ok());
+    // Every frame is timed once, in its tenant's histogram. Read after
+    // Shutdown(): the connection threads have recorded their last frame.
+    const std::string metrics = server.ExportMetrics();
+    const std::string frames = MetricValue(metrics, "rfidcepd_frames_total");
+    const std::string alpha_frames =
+        MetricValue(metrics, "rfidcepd_frame_us_count{tenant=\"alpha\"}");
+    const std::string beta_frames =
+        MetricValue(metrics, "rfidcepd_frame_us_count{tenant=\"beta\"}");
+    ASSERT_NE(frames, "absent");
+    ASSERT_NE(alpha_frames, "absent");
+    ASSERT_NE(beta_frames, "absent");
+    // Every batch, plus kFlush and kStats.
+    EXPECT_EQ(std::stoull(alpha_frames), Batched(trace, 32).size() + 2);
+    EXPECT_EQ(std::stoull(alpha_frames) + std::stoull(beta_frames),
+              std::stoull(frames));
   }
 }
 
@@ -405,14 +438,6 @@ std::string DumpStore(const store::Database& db) {
     out += name + "\n" + store::TableToCsv(*db.GetTable(name));
   }
   return out;
-}
-
-// The value of one sample line `name value` in a /metrics export.
-std::string MetricValue(const std::string& metrics, const std::string& name) {
-  const size_t at = metrics.find("\n" + name + " ");
-  if (at == std::string::npos) return "absent";
-  const size_t begin = at + name.size() + 2;
-  return metrics.substr(begin, metrics.find('\n', begin) - begin);
 }
 
 // A restart after a checkpoint loads the store image and replays no WAL
@@ -600,14 +625,8 @@ TEST_F(ServerTest, GarbageBytesFailTheConnectionCleanly) {
   Client raw;
   {
     // Connect() sends a valid hello, so hand-roll the socket.
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ConnectLoopback(server.bound_port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server.bound_port()));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
     ASSERT_EQ(::send(fd, "GET / HTTP/1.1\r\n", 16, MSG_NOSIGNAL), 16);
     std::string reply;
     char chunk[512];
@@ -641,14 +660,8 @@ TEST_F(ServerTest, HttpServesMetricsAndHealth) {
   ASSERT_TRUE(client.Roundtrip(EncodeBatch(MakeTrace(20))));
 
   auto http_get = [&](const std::string& path) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ConnectLoopback(server.http_port());
     EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server.http_port()));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
     const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
     EXPECT_TRUE(::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
                 static_cast<ssize_t>(request.size()));
@@ -697,6 +710,96 @@ TEST_F(ServerTest, AckSequenceNumbersAreOrderedAndComplete) {
     EXPECT_EQ(seq, want);
   }
   EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// Acks leave in the send() that writes them. Two kPing frames arrive in
+// one segment; with Nagle on, the second ack would wait in the daemon's
+// socket until the client's delayed ACK for the first (tens of ms).
+TEST_F(ServerTest, SecondAckOfOneSegmentIsNotDelayed) {
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(BetaConfig()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(server.bound_port(), "beta"));
+
+  const std::string ping = EncodeFrame(FrameType::kPing, "");
+  const std::string two_pings = ping + ping;
+  std::vector<double> second_ack_ms;
+  uint64_t want = 0;
+  for (int round = 0; round < 40; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.SendRaw(two_pings));
+    for (int i = 0; i < 2; ++i) {
+      Frame frame;
+      ASSERT_TRUE(client.ReadFrame(&frame));
+      ASSERT_EQ(frame.type, FrameType::kAck);
+      uint64_t seq = 0;
+      ASSERT_TRUE(DecodeAck(frame.body, &seq).ok());
+      EXPECT_EQ(seq, ++want);
+    }
+    second_ack_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  }
+  std::sort(second_ack_ms.begin(), second_ack_ms.end());
+  EXPECT_LT(second_ack_ms[second_ack_ms.size() / 2], 10.0);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// An HTTP client that connects and sends nothing neither holds the
+// scrape thread past the read deadline nor wedges SIGTERM.
+TEST_F(ServerTest, IdleHttpClientDoesNotBlockScrapesOrShutdown) {
+  ServerOptions options = Options();
+  options.http_port = 0;
+  Server server(options);
+  ASSERT_TRUE(server.AddTenant(AlphaConfig(/*shards=*/1)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(server.bound_port(), "alpha"));
+  ASSERT_TRUE(client.Roundtrip(EncodeBatch(MakeTrace(50))));
+
+  auto connect_http = [&] {
+    int fd = ConnectLoopback(server.http_port());
+    EXPECT_GE(fd, 0);
+    // Bounded reads, so a server that never answers fails the test
+    // instead of hanging it.
+    timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    return fd;
+  };
+
+  // A scrape queued behind an idle client is served once the idle one
+  // times out.
+  const int idle = connect_http();
+  const int scrape = connect_http();
+  const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(scrape, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string reply;
+  char chunk[512];
+  for (ssize_t n; (n = ::recv(scrape, chunk, sizeof(chunk), 0)) > 0;) {
+    reply.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(scrape);
+  EXPECT_NE(reply.find("200 OK"), std::string::npos) << reply;
+  char byte;
+  EXPECT_EQ(::recv(idle, &byte, 1, 0), 0);  // Closed by the deadline.
+  ::close(idle);
+
+  // Shutdown() with an idle client connected returns and checkpoints.
+  // If it hung, closing the client unblocks it so the test can fail.
+  const int wedge = connect_http();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // Accepted.
+  std::promise<Status> done;
+  std::future<Status> result = done.get_future();
+  std::thread shutdown([&] { done.set_value(server.Shutdown()); });
+  const bool prompt =
+      result.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  ::close(wedge);
+  shutdown.join();
+  EXPECT_TRUE(prompt) << "Shutdown() blocked behind an idle HTTP client";
+  EXPECT_TRUE(result.get().ok());
+  EXPECT_TRUE(fs::exists(server.tenant("alpha")->checkpoint_path()));
 }
 
 }  // namespace
