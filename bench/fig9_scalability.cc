@@ -11,19 +11,18 @@
 //   ./build/bench/fig9_scalability [--series=events|rules|shards|actions|
 //                                   workload|both|all]
 //                                  [--shards=N[,N...]] [--batch=N]
-//                                  [--partition=rule|data]
 //                                  [--compile=full|off]
 //                                  [--actions=off|sync|async]
 //                                  [--rules=N] [--sites=N] [--events=N]
 //                                  [--metrics] [--metrics-out=FILE]
 //                                  [--json-out=FILE] [--recovery-smoke]
 //
-// --partition=data requests the data-partitioned pipeline (keyed rules
-// replicated, stream split by hash(EPC); see engine/sharded_engine.h);
-// every JSON row records the partition mode the engine ACTUALLY ran
-// ("data" only when at least one rule was key-partitionable). --shards
-// takes a comma list for the shards series (a serial shards=1 baseline
-// point is always included); other series use the first value.
+// --shards=N > 1 runs the data-partitioned pipeline (keyed rules
+// replicated, stream split by hash(EPC), one residual shard for the
+// rest; see engine/sharded_engine.h) — or the serial path when no rule is
+// key-partitionable, which the shards table reports as mode "serial".
+// --shards takes a comma list for the shards series (a serial shards=1
+// baseline point is always included); other series use the first value.
 //
 // --compile=off disables the rule-set compiler (indexed dispatch,
 // predicate pushdown, and SEQ+ prefix sharing) so the 500 -> 10k rules
@@ -112,7 +111,7 @@ struct RunResult {
   uint64_t matches = 0;
   uint64_t pseudo_fired = 0;
   uint64_t rules_fired = 0;
-  bool data_partitioned = false;  // What the engine actually ran.
+  bool data_partitioned = false;  // False: the serial path ran.
   // Actions-series extras (zero when the run had no store).
   uint64_t sql_actions = 0;
   uint64_t store_rows = 0;  // Total rows across the three RFID tables.
@@ -122,7 +121,6 @@ struct BenchFlags {
   std::string series = "both";
   int shards = 1;
   std::vector<int> shard_list;  // --shards comma list (shards series).
-  std::string partition = "rule";
   size_t batch = 1024;
   int rules = 0;    // 0 = per-series default.
   int sites = 0;    // 0 = per-series default.
@@ -148,10 +146,10 @@ void AppendJsonRow(BenchOutput* out, const char* series,
   std::snprintf(buf, sizeof(buf),
                 "{\"series\":\"%s\",\"rule_family\":\"%s\","
                 "\"compile\":\"%s\",\"events\":%zu,\"rules\":%d,"
-                "\"shards\":%d,\"partition\":\"%s\",\"total_ms\":%.3f,"
+                "\"shards\":%d,\"total_ms\":%.3f,"
                 "\"usec_per_event\":%.4f,\"matches\":%llu,\"fired\":%llu}",
                 series, rule_family, flags.compile.c_str(), events, rules,
-                shards, r.data_partitioned ? "data" : "rule", r.total_ms,
+                shards, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.rules_fired));
   out->json_rows.emplace_back(buf);
@@ -222,9 +220,6 @@ RunResult RunOnce(const std::string& rule_program,
   EngineOptions options;
   options.execute_actions = false;  // Paper: action cost not counted.
   options.shards = shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = flags.metrics;
   if (flags.compile == "off") {
     options.detector.compile.indexed_dispatch = false;
@@ -326,9 +321,9 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
 
 // Many-rules workload partitioned across detection shards (default
 // {1, 2, 4}; override the multi-shard points with --shards=2,4,...).
-// Match and fired counts must be identical at every shard count and in
-// both partition modes — the pipeline's determinism contract — so they
-// are printed for auditing, along with the mode each run engaged.
+// Match and fired counts must be identical at every shard count — the
+// pipeline's determinism contract — so they are printed for auditing,
+// along with the mode each run engaged (data, or the serial path).
 void RunShardsSeries(const BenchFlags& flags, BenchOutput* out) {
   const int rules = flags.rules > 0 ? flags.rules : 100;
   const int sites = flags.sites > 0 ? flags.sites : 20;
@@ -336,9 +331,9 @@ void RunShardsSeries(const BenchFlags& flags, BenchOutput* out) {
   std::printf("\nFIG9-S: total event processing time versus detection "
               "shards\n");
   std::printf("(fixed workload: %d rules over %d sites, %zu primitive "
-              "events, batch=%zu, partition=%s, actions excluded)\n",
-              rules, sites, events, flags.batch, flags.partition.c_str());
-  std::printf("%12s %11s %14s %14s %12s %12s\n", "shards", "partition",
+              "events, batch=%zu, actions excluded)\n",
+              rules, sites, events, flags.batch);
+  std::printf("%12s %11s %14s %14s %12s %12s\n", "shards", "mode",
               "total_ms", "usec/event", "matches", "fired");
   rfidcep::sim::SupplyChain chain(BenchConfig(sites));
   std::string program = chain.GeneratedRuleProgram(rules);
@@ -355,7 +350,7 @@ void RunShardsSeries(const BenchFlags& flags, BenchOutput* out) {
     RunResult r =
         RunOnce(program, BenchConfig(sites), events, shards, flags, out);
     std::printf("%12d %11s %14.1f %14.3f %12llu %12llu\n", shards,
-                r.data_partitioned ? "data" : "rule", r.total_ms,
+                r.data_partitioned ? "data" : "serial", r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.rules_fired));
     AppendJsonRow(out, "shards", "generated", flags, events, rules, shards,
@@ -381,9 +376,6 @@ RunResult RunWorkloadOnce(const std::string& rule_program,
   EngineOptions options;
   options.execute_actions = false;
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = flags.metrics;
   options.detector.tolerate_out_of_order = tolerate;
   if (flags.compile == "off") {
@@ -502,9 +494,6 @@ RunResult RunActionsOnce(const std::string& rule_program,
   options.execute_actions = mode != "off";
   options.async_actions = mode == "async";
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = flags.metrics;
   RcedaEngine engine(&db, chain.environment(), options);
   Check(engine.AddRulesFromText(rule_program), "rule");
@@ -719,9 +708,6 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
   options.execute_actions = true;
   options.async_actions = flags.actions == "async";
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = true;
   auto make_engine = [&](Database* db) {
     auto engine =
@@ -878,9 +864,6 @@ int RunRecoverySmoke(const BenchFlags& flags) {
   EngineOptions options;
   options.execute_actions = false;
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = true;
   auto make_engine = [&] {
     auto engine = std::make_unique<RcedaEngine>(nullptr, chain.environment(),
@@ -974,13 +957,6 @@ int main(int argc, char** argv) {
         p = (*next == ',') ? next + 1 : next;
       }
       flags.shards = flags.shard_list.empty() ? 0 : flags.shard_list.front();
-    } else if (std::strncmp(argv[i], "--partition=", 12) == 0) {
-      flags.partition = argv[i] + 12;
-      if (flags.partition != "rule" && flags.partition != "data") {
-        std::fprintf(stderr, "bad --partition (want rule|data): %s\n",
-                     argv[i]);
-        return 1;
-      }
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
       flags.batch = static_cast<size_t>(std::atol(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--rules=", 8) == 0) {

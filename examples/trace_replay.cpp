@@ -3,8 +3,7 @@
 //
 //   ./build/examples/trace_replay --rules=FILE [--trace=FILE]
 //                                 [--generate=N] [--seed=S] [--save=FILE]
-//                                 [--context=chronicle|recent|continuous|
-//                                            cumulative|unrestricted]
+//                                 [--context=chronicle|unrestricted]
 //                                 [--metrics-out=FILE] [--lifecycle=FILE]
 //                                 [--quiet]
 //
@@ -47,9 +46,6 @@ int Fail(const std::string& what, const Status& status) {
 
 bool ParseContext(const std::string& name, ParameterContext* out) {
   if (name == "chronicle") *out = ParameterContext::kChronicle;
-  else if (name == "recent") *out = ParameterContext::kRecent;
-  else if (name == "continuous") *out = ParameterContext::kContinuous;
-  else if (name == "cumulative") *out = ParameterContext::kCumulative;
   else if (name == "unrestricted") *out = ParameterContext::kUnrestricted;
   else return false;
   return true;

@@ -28,7 +28,7 @@ worker then has no core to overlap onto and every handoff is pure
 scheduling overhead, which measures the host, not the pipeline.
 
 When the run also contains `shards`-series rows, the guard additionally
-gates the sharded pipeline: for every (shards, partition) point with a
+gates the data-partitioned pipeline: for every shard count with a
 committed counterpart in current.shards.series, the run's RELATIVE
 speedup versus its own shards=1 row must stay at or above
 --shards-min-ratio (default 0.9) times the committed speedup_vs_1shard.
@@ -73,8 +73,7 @@ def check_shards(shard_rows, baseline, min_ratio):
     speedup (see module docstring)."""
     committed = (baseline.get("current", {}).get("shards", {})
                  .get("series", []))
-    by_key = {(r["shards"], r.get("partition", "rule")): r
-              for r in committed}
+    by_shards = {r["shards"]: r for r in committed}
     serial = [r for r in shard_rows if r["shards"] == 1]
     if not serial:
         print("bench_guard: shards rows lack the shards=1 baseline "
@@ -83,22 +82,21 @@ def check_shards(shard_rows, baseline, min_ratio):
         sys.exit(2)
     serial_usec = min(r["usec_per_event"] for r in serial)
     ok = True
-    print(f"{'shards':>10} {'partition':>10} {'run spdup':>10} "
-          f"{'committed':>10} {'floor':>8}  verdict")
+    print(f"{'shards':>10} {'run spdup':>10} {'committed':>10} "
+          f"{'floor':>8}  verdict")
     for row in shard_rows:
         if row["shards"] == 1:
             continue
-        key = (row["shards"], row.get("partition", "rule"))
-        base = by_key.get(key)
+        base = by_shards.get(row["shards"])
         if base is None or "speedup_vs_1shard" not in base:
-            print(f"{row['shards']:>10} {key[1]:>10} {'-':>10} {'-':>10} "
+            print(f"{row['shards']:>10} {'-':>10} {'-':>10} "
                   f"{'-':>8}  skipped (no committed point)")
             continue
         speedup = serial_usec / row["usec_per_event"]
         floor = base["speedup_vs_1shard"] * min_ratio
         verdict = "ok" if speedup >= floor else "REGRESSION"
         ok &= verdict == "ok"
-        print(f"{row['shards']:>10} {key[1]:>10} {speedup:>10.3f} "
+        print(f"{row['shards']:>10} {speedup:>10.3f} "
               f"{base['speedup_vs_1shard']:>10.3f} {floor:>8.3f}  "
               f"{verdict}")
     if not ok:

@@ -42,18 +42,13 @@ for _ in 1 2; do
   RULES_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=rules)"$'\n'
 done
 echo "$RULES_TXT"
-# Shards sweep in both partition modes: rule-sharded (the rule set is
-# split across workers, every observation fans out to each subscribed
-# shard) and data-partitioned (keyed rules replicated, the stream split
-# by hash(EPC) — engine/sharded_engine.h). The shards=1 serial baseline
-# row repeats in both sweeps; the parser keeps the fastest.
+# Shards sweep: keyed rules replicated across the shards, the stream
+# split by hash(EPC), one residual shard for cross-object rules
+# (engine/sharded_engine.h). The parser keeps the fastest repeat.
 SHARDS_TXT=""
-for partition in rule data; do
-  for _ in 1 2; do
-    SHARDS_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=shards \
-      --shards=2,4 --partition="$partition" \
-      --rules=100 --sites=20 --events=100000)"$'\n'
-  done
+for _ in 1 2; do
+  SHARDS_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=shards \
+    --shards=2,4 --rules=100 --sites=20 --events=100000)"$'\n'
 done
 echo "$SHARDS_TXT"
 BINDINGS_JSON="$("$BUILD_DIR/bench/bench_bindings" \
@@ -96,20 +91,19 @@ def parse_rows(text, key):
     return [best[k] for k in sorted(best)]
 
 def parse_shards_rows(text):
-    """Parses the 6-column FIG9-S rows (shards, partition, total_ms,
-    usec/event, matches, fired), keyed by (shards, engaged partition).
-    Counts must agree across every repeat AND both modes: the data-
-    partitioned pipeline replays the rule-sharded/serial results."""
+    """Parses the 6-column FIG9-S rows (shards, mode, total_ms,
+    usec/event, matches, fired), keyed by shard count. Counts must agree
+    across every repeat and shard count: the data-partitioned pipeline
+    replays the serial results."""
     best = {}
     counts = None
     for line in text.splitlines():
         parts = line.split()
         if len(parts) != 6 or not parts[0].isdigit():
             continue
-        assert parts[1] in ("rule", "data"), line
         row = {
             "shards": int(parts[0]),
-            "partition": parts[1],
+            "mode": parts[1],
             "total_ms": float(parts[2]),
             "usec_per_event": float(parts[3]),
             "counts": (int(parts[4]), int(parts[5])),
@@ -117,7 +111,7 @@ def parse_shards_rows(text):
         if counts is None:
             counts = row["counts"]
         assert counts == row["counts"], (counts, row)
-        k = (row["shards"], row["partition"])
+        k = row["shards"]
         if k not in best or row["total_ms"] < best[k]["total_ms"]:
             best[k] = row
     return [best[k] for k in sorted(best)]
@@ -155,18 +149,19 @@ shards = []
 for row in parse_shards_rows(os.environ["SHARDS_TXT"]):
     shards.append({
         "shards": row["shards"],
-        "partition": row["partition"],
         "total_ms": row["total_ms"],
         "usec_per_event": row["usec_per_event"],
         "matches": row["counts"][0],
         "rules_fired": row["counts"][1],
     })
 assert shards and shards[0]["shards"] == 1, "shards series missing"
-assert any(r["partition"] == "data" for r in shards), \
-    "data-partitioned sweep missing (generated rules have keyed families)"
+assert all(row["mode"] == "data"
+           for row in parse_shards_rows(os.environ["SHARDS_TXT"])
+           if row["shards"] > 1), \
+    "shards > 1 fell back to serial (generated rules have keyed families)"
 for row in shards:
-    # Determinism contract: every shard count, in both partition modes,
-    # reproduces serial results (parse_shards_rows also asserts counts).
+    # Determinism contract: every shard count reproduces serial results
+    # (parse_shards_rows also asserts counts).
     assert row["matches"] == shards[0]["matches"], row
     assert row["rules_fired"] == shards[0]["rules_fired"], row
     row["speedup_vs_1shard"] = round(
@@ -206,16 +201,13 @@ doc = {
         "shards": {
             "workload": "100 rules over 20 sites, 100000 events, batch=1024",
             "host_cores": int(os.environ["HOST_CORES"]),
-            "note": "each point records the partition mode the engine "
-                    "engaged: rule = rule set split across workers, data "
-                    "= keyed rules replicated with the stream split by "
-                    "hash(EPC) plus one residual shard for cross-object "
-                    "rules. Wall-clock speedup requires >= `shards` "
-                    "physical cores; on a single-core host the sweep "
-                    "only audits the determinism contract (identical "
-                    "matches and fired counts at every shard count in "
-                    "both modes) and the relative cost of the two "
-                    "coordination strategies",
+            "note": "shards > 1 runs data-partitioned: keyed rules "
+                    "replicated with the stream split by hash(EPC) plus "
+                    "one residual shard for cross-object rules. "
+                    "Wall-clock speedup requires >= `shards` physical "
+                    "cores; on a single-core host the sweep only audits "
+                    "the determinism contract (identical matches and "
+                    "fired counts at every shard count)",
             "series": shards,
         },
         "micro": micro,
@@ -228,12 +220,9 @@ doc = {
         "allocs_per_iter is 0 for BM_PairingProbe, BM_ComputeJoinKey and "
         "BM_UnifiesWith: the per-event pairing path performs no heap "
         "allocation and builds no std::string keys",
-        "the sharded pipeline reproduces serial matches and fired counts "
-        "exactly at every shard count and in both partition modes "
+        "the data-partitioned pipeline reproduces serial matches and "
+        "fired counts exactly at every shard count "
         "(see current.shards.series)",
-        "data partitioning cuts per-observation coordination versus rule "
-        "sharding at the same shard count (one routed batch per ring "
-        "instead of a per-shard fan-out of every observation)",
         "per-event dispatch cost scales with the rules an observation "
         "can match, not the rule-set size: 10,000 rules cost at most "
         f"{rules_ratio:.2f}x the cheapest rules-sweep point "

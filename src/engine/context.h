@@ -4,7 +4,8 @@
 // pulled out of the event history when a complex event completes. The
 // paper argues only the *chronicle* context is correct for RFID streams,
 // because complex-event instances routinely overlap (multiple packing
-// episodes in flight); we implement all five for tests and ablation.
+// episodes in flight); *unrestricted* stays as its counterexample and as
+// the exhaustive baseline the reference interpreter also implements.
 
 #ifndef RFIDCEP_ENGINE_CONTEXT_H_
 #define RFIDCEP_ENGINE_CONTEXT_H_
@@ -13,12 +14,13 @@
 
 namespace rfidcep::engine {
 
+// The values are part of the snapshot fingerprint (ComputeFingerprint
+// hashes them): never renumber. 1-3 were the removed recent, continuous
+// and cumulative contexts.
 enum class ParameterContext {
-  kChronicle = 0,  // Oldest initiator pairs with oldest terminator (default).
-  kRecent,         // Most recent initiator; initiator is reused.
-  kContinuous,     // Every open initiator pairs with the terminator.
-  kCumulative,     // All initiators merge into one instance.
-  kUnrestricted,   // Every combination; nothing is consumed.
+  kChronicle = 0,     // Oldest initiator pairs with oldest terminator
+                      // (default).
+  kUnrestricted = 4,  // Every combination; nothing is consumed.
 };
 
 std::string_view ParameterContextName(ParameterContext context);

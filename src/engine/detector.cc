@@ -20,12 +20,6 @@ std::string_view ParameterContextName(ParameterContext context) {
   switch (context) {
     case ParameterContext::kChronicle:
       return "chronicle";
-    case ParameterContext::kRecent:
-      return "recent";
-    case ParameterContext::kContinuous:
-      return "continuous";
-    case ParameterContext::kCumulative:
-      return "cumulative";
     case ParameterContext::kUnrestricted:
       return "unrestricted";
   }
@@ -428,7 +422,6 @@ void Detector::BufferInsert(int node_id, int slot_index, EventInstancePtr e,
 void Detector::AndArrival(int node_id, int slot, const EventInstancePtr& e,
                           JoinKey key) {
   const GraphNode& node = graph_->node(node_id);
-  NodeState& st = states_[node_id];
   int other_slot = 1 - slot;
   const GraphNode& other = graph_->node(node.children[other_slot]);
 
@@ -449,16 +442,7 @@ void Detector::AndArrival(int node_id, int slot, const EventInstancePtr& e,
   }
 
   bool paired = PairBinary(node_id, slot, e, key);
-  bool buffer = !paired;
-  if (options_.context == ParameterContext::kUnrestricted) buffer = true;
-  if (options_.context == ParameterContext::kRecent) {
-    // Only the most recent instance per slot is retained.
-    st.slots[slot].buckets.clear();
-    st.slots[slot].expiry.clear();
-    st.slots[slot].total = 0;
-    buffer = true;
-  }
-  if (buffer) {
+  if (!paired || options_.context == ParameterContext::kUnrestricted) {
     BufferInsert(node_id, slot, e, AddSaturating(e->t_begin(), node.within),
                  key);
   }
@@ -469,7 +453,6 @@ void Detector::AndArrival(int node_id, int slot, const EventInstancePtr& e,
 void Detector::SeqInitiatorArrival(int node_id, const EventInstancePtr& e1,
                                    JoinKey key) {
   const GraphNode& node = graph_->node(node_id);
-  NodeState& st = states_[node_id];
   const GraphNode& right = graph_->node(node.children[1]);
 
   if (right.op == ExprOp::kNot) {
@@ -484,11 +467,6 @@ void Detector::SeqInitiatorArrival(int node_id, const EventInstancePtr& e1,
   }
   TimePoint deadline = std::min(AddSaturating(e1->t_begin(), node.within),
                                 AddSaturating(e1->t_end(), node.dist_hi));
-  if (options_.context == ParameterContext::kRecent) {
-    st.slots[0].buckets.clear();
-    st.slots[0].expiry.clear();
-    st.slots[0].total = 0;
-  }
   BufferInsert(node_id, 0, e1, deadline, key);
 }
 
@@ -587,73 +565,20 @@ bool Detector::PairBinary(int node_id, int incoming_slot,
               return a.seq < b.seq;
             });
 
-  auto erase_candidates = [&](const std::vector<Candidate>& victims) {
-    // Erase per bucket in descending index order.
-    std::vector<Candidate> sorted = victims;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.bucket != b.bucket) return a.bucket < b.bucket;
-                return a.index > b.index;
-              });
-    for (const Candidate& victim : sorted) {
-      victim.bucket->erase(victim.bucket->begin() +
-                           static_cast<long>(victim.index));
-      --buffer.total;
+  if (options_.context == ParameterContext::kUnrestricted) {
+    for (const Candidate& c : candidates) {
+      ProducePair(node_id, (*c.bucket)[c.index].instance, incoming);
     }
-  };
-
-  switch (options_.context) {
-    case ParameterContext::kChronicle: {
-      EventInstancePtr partner =
-          (*candidates.front().bucket)[candidates.front().index].instance;
-      erase_candidates({candidates.front()});
-      ProducePair(node_id, partner, incoming);
-      return true;
-    }
-    case ParameterContext::kRecent: {
-      EventInstancePtr partner =
-          (*candidates.back().bucket)[candidates.back().index].instance;
-      ProducePair(node_id, partner, incoming);  // Initiator is reused.
-      return true;
-    }
-    case ParameterContext::kContinuous: {
-      std::vector<EventInstancePtr> partners;
-      partners.reserve(candidates.size());
-      for (const Candidate& c : candidates) {
-        partners.push_back((*c.bucket)[c.index].instance);
-      }
-      erase_candidates(candidates);
-      for (EventInstancePtr& partner : partners) {
-        ProducePair(node_id, partner, incoming);
-      }
-      return true;
-    }
-    case ParameterContext::kCumulative: {
-      // All open initiators merge into one instance with the terminator.
-      TimePoint t_begin = incoming->t_begin();
-      Bindings merged = incoming->bindings().ToMulti();
-      std::vector<EventInstancePtr> children;
-      for (const Candidate& c : candidates) {
-        const EventInstancePtr& cand = (*c.bucket)[c.index].instance;
-        t_begin = std::min(t_begin, cand->t_begin());
-        merged.Merge(cand->bindings().ToMulti());
-        children.push_back(cand);
-      }
-      children.push_back(incoming);
-      erase_candidates(candidates);
-      Emit(node_id, EventInstance::MakeComplex(
-                        t_begin, incoming->t_end(), std::move(merged),
-                        std::move(children), NextSeq()));
-      return true;
-    }
-    case ParameterContext::kUnrestricted: {
-      for (const Candidate& c : candidates) {
-        ProducePair(node_id, (*c.bucket)[c.index].instance, incoming);
-      }
-      return true;
-    }
+    return true;
   }
-  return false;
+  // Chronicle: the oldest partner is consumed.
+  const Candidate& oldest = candidates.front();
+  EventInstancePtr partner = (*oldest.bucket)[oldest.index].instance;
+  oldest.bucket->erase(oldest.bucket->begin() +
+                       static_cast<long>(oldest.index));
+  --buffer.total;
+  ProducePair(node_id, partner, incoming);
+  return true;
 }
 
 void Detector::ProducePair(int node_id, const EventInstancePtr& initiator,

@@ -200,7 +200,6 @@ Status RcedaEngine::Compile() {
     ShardedOptions sharded_options;
     sharded_options.shards = options_.shards;
     sharded_options.queue_capacity = options_.shard_queue_capacity;
-    sharded_options.partition = options_.partition;
     sharded_options.detector = options_.detector;
     sharded_options.metrics = metrics_ != nullptr ? &registry_ : nullptr;
     sharded_options.trace = trace_;
@@ -213,7 +212,8 @@ Status RcedaEngine::Compile() {
                    TimePoint fire_time) {
               OnMatch(rule_index, instance, fire_time);
             }));
-    return Status::Ok();
+    if (sharded_ != nullptr) return Status::Ok();
+    // No key-partitionable rule: the serial path below.
   }
   if (metrics_ != nullptr) {
     metrics_->detector = MakeDetectorInstruments(&registry_, 0, *graph_);

@@ -40,6 +40,13 @@
 
 namespace rfidcep::engine {
 
+// Kept as a one-value type: the engine has a single multi-shard mode
+// (data partitioning, engine/sharded_engine.h), and nothing reads the
+// fields below. They remain only so callers that still name them build.
+enum class PartitionMode : uint8_t {
+  kData = 0,
+};
+
 struct EngineOptions {
   DetectorOptions detector;
   // When false, rule matches are counted (and reported to the match
@@ -48,9 +55,12 @@ struct EngineOptions {
   bool execute_actions = true;
   // Number of detection shards. 1 (the default) is the serial in-place
   // fast path: one merged graph, one detector, no queue hops. Values > 1
-  // partition the rule set across dedicated worker threads (see
-  // engine/sharded_engine.h); conditions, actions, fired counts, and the
-  // match callback still run on the calling thread, in a canonical order.
+  // replicate the key-partitionable rules across that many worker
+  // threads and split the stream by hash(EPC / site), with one residual
+  // shard for the rest (engine/sharded_engine.h); a rule set with no
+  // key-partitionable rule runs the serial path. Conditions, actions,
+  // fired counts, and the match callback still run on the calling
+  // thread, in the serial order.
   int shards = 1;
   // Per-shard command/match ring capacity when shards > 1.
   size_t shard_queue_capacity = 1024;
@@ -66,11 +76,7 @@ struct EngineOptions {
   // to a power of two). A full queue blocks the detection thread —
   // bounded-queue backpressure, same as the shard rings.
   size_t action_queue_capacity = 1024;
-  // How the stream is split when shards > 1: kRule partitions the rule
-  // set, kData replicates key-partitionable rules and splits the stream
-  // by hash(EPC / site) — see engine/sharded_engine.h. Ignored when
-  // shards <= 1.
-  PartitionMode partition = PartitionMode::kRule;
+  PartitionMode partition = PartitionMode::kData;  // Unused (see above).
   // Whether Compile() resolves registry instruments and times rule
   // evaluation. Defaults on at compile time (cmake -DRFIDCEP_METRICS=OFF
   // flips the default); when off, every instrumentation site in the
@@ -150,15 +156,13 @@ class RcedaEngine : public EngineFrontend {
   // !compiled() (Decompile() first to re-shard an existing engine).
   Status SetShards(int shards);
   // Detection shards in use: 1 for the serial fast path; when compiled
-  // with options.shards > 1, the actual count (empty shards collapse).
+  // data-partitioned, the keyed replicas plus the residual shard.
   int num_shards() const {
     return sharded_ != nullptr ? sharded_->num_shards() : 1;
   }
-  // True when the compiled pipeline runs data-partitioned (kData was
-  // requested and at least one rule was key-partitionable).
-  bool data_partitioned() const {
-    return sharded_ != nullptr && sharded_->data_partitioned();
-  }
+  // True when the compiled pipeline runs data-partitioned (shards > 1
+  // and at least one rule was key-partitionable).
+  bool data_partitioned() const { return sharded_ != nullptr; }
 
   // Drops the compiled graph and all runtime state so rules can be added
   // or removed again. Statistics and fired counts are preserved.

@@ -590,54 +590,6 @@ std::vector<std::string> EventGraph::NodePartitionVars(bool object_dim) const {
   return vars;
 }
 
-std::vector<std::vector<size_t>> EventGraph::CoupledRuleGroups() const {
-  size_t num_rules = rule_roots_.size();
-  std::vector<size_t> parent(num_rules);
-  for (size_t i = 0; i < num_rules; ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto unite = [&](size_t a, size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  };
-
-  // Union rules that reach a common SEQ+ node.
-  std::unordered_map<int, size_t> seqplus_owner;
-  std::vector<bool> seen(nodes_.size());
-  std::vector<int> stack;
-  for (size_t r = 0; r < num_rules; ++r) {
-    seen.assign(nodes_.size(), false);
-    stack.assign(1, rule_roots_[r]);
-    while (!stack.empty()) {
-      int id = stack.back();
-      stack.pop_back();
-      if (seen[id]) continue;
-      seen[id] = true;
-      if (nodes_[id].op == ExprOp::kSeqPlus) {
-        auto [it, inserted] = seqplus_owner.emplace(id, r);
-        if (!inserted) unite(it->second, r);
-      }
-      for (int child : nodes_[id].children) stack.push_back(child);
-    }
-  }
-
-  std::vector<std::vector<size_t>> groups;
-  std::unordered_map<size_t, size_t> group_of_root;
-  for (size_t r = 0; r < num_rules; ++r) {
-    size_t root = find(r);
-    auto [it, inserted] = group_of_root.emplace(root, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(r);
-  }
-  return groups;
-}
-
 std::vector<std::string> EventGraph::NodeStateKeys(
     const std::vector<std::string>& rule_ids) const {
   std::vector<std::string> keys(nodes_.size());

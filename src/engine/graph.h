@@ -151,7 +151,7 @@ class EventGraph {
   enum class RulePartitionClass {
     kEpcKeyed = 0,   // Partition by hash(observation.object).
     kSiteKeyed,      // Partition by hash(observation.reader).
-    kCrossObject,    // Not key-partitionable: rule-sharded fallback.
+    kCrossObject,    // Not key-partitionable: the residual shard.
   };
   struct RulePartition {
     RulePartitionClass cls = RulePartitionClass::kCrossObject;
@@ -189,15 +189,6 @@ class EventGraph {
   // "shared|<key>" shared state (either direction) when no exact state
   // key matches.
   std::vector<std::string> NodeStateAliases() const;
-
-  // Rules that must be detected on the same shard: two rules sharing a
-  // SEQ+ node are coupled through its open-run state (one rule's
-  // sequence terminator or expiry pseudo event closes the run the other
-  // rule consumes), so evaluating them on separate graph copies could
-  // diverge from serial execution. Returns a partition of all rule
-  // indexes into such coupled groups (singletons for uncoupled rules),
-  // ordered by each group's smallest rule index.
-  std::vector<std::vector<size_t>> CoupledRuleGroups() const;
 
   // Human-readable dump (one line per node) for debugging and docs.
   std::string DebugString() const;

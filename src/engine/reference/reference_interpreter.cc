@@ -50,9 +50,6 @@ ReferenceInterpreter::ReferenceInterpreter(const EventExprPtr& root,
                                            const events::Environment* env,
                                            ReferenceOptions options)
     : env_(env), options_(options) {
-  assert((options_.context == ParameterContext::kChronicle ||
-          options_.context == ParameterContext::kUnrestricted) &&
-         "reference interpreter implements chronicle and unrestricted only");
   // Idempotent for already-compiled expressions (EventGraph::RuleExpr).
   EventExprPtr propagated = PropagateIntervalConstraints(root);
   root_ = Build(*propagated);

@@ -47,8 +47,8 @@
 namespace rfidcep::engine::reference {
 
 struct ReferenceOptions {
-  // Only kChronicle and kUnrestricted are implemented (the paper default
-  // and the exhaustive baseline); Run() fails on the others.
+  // Both engine contexts: chronicle (the paper default) and unrestricted
+  // (the exhaustive baseline).
   ParameterContext context = ParameterContext::kChronicle;
   // Mirrors DetectorOptions: observations older than the stream clock are
   // silently dropped when set; Run() fails on them otherwise.

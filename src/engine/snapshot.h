@@ -245,9 +245,10 @@ Result<RestorePlan> BuildRestorePlan(
 // Merges the per-shard snapshots of a DATA-partitioned engine into ONE
 // serial-equivalent source, so the encoded snapshot is indistinguishable
 // from a serial capture and restores onto any layout through the normal
-// BuildRestorePlan path. Unlike rule-sharded sources (which duplicate a
-// shared node's state), keyed replicas hold COMPLEMENTARY per-key slices
-// of the same state key, so per node the merge either
+// BuildRestorePlan path. Unlike the per-shard sources earlier
+// rule-sharded builds wrote (which duplicate a shared node's state),
+// keyed replicas hold COMPLEMENTARY per-key slices of the same state
+// key, so per node the merge either
 //   * takes a non-replica (residual) copy — complete over all keys — when
 //     its retention covers the replicas' window, or
 //   * unions the replica slices (sorted by sequence number, then source;

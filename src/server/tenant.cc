@@ -89,10 +89,12 @@ Result<std::vector<TenantConfig>> ParseTenantConfigText(
         }
       } else if (key == "partition") {
         if (value == "rule") {
-          config.partition = engine::PartitionMode::kRule;
-        } else if (value == "data") {
-          config.partition = engine::PartitionMode::kData;
-        } else {
+          return Status::InvalidArgument(
+              "tenant config: partition=rule: rule sharding was removed; "
+              "shards=N now always partitions by data (partition=data)" +
+              at);
+        }
+        if (value != "data") {
           return Status::InvalidArgument("tenant config: bad partition=" +
                                          value + at);
         }
@@ -186,7 +188,6 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   options.detector.tolerate_out_of_order =
       tenant->config_.tolerate_out_of_order;
   options.shards = tenant->config_.shards;
-  options.partition = tenant->config_.partition;
   options.async_actions = tenant->config_.async_actions;
   tenant->engine_ = std::make_unique<engine::RcedaEngine>(
       tenant->db_.get(), events::Environment{}, options);

@@ -36,7 +36,7 @@ struct TenantConfig {
   std::string rules_file;
   std::string rules_text;
   int shards = 1;
-  engine::PartitionMode partition = engine::PartitionMode::kRule;
+  engine::PartitionMode partition = engine::PartitionMode::kData;  // Unused.
   bool async_actions = false;
   // When true (default) the tenant gets an RFID store + WAL; rules with
   // SQL actions require it.
@@ -45,10 +45,13 @@ struct TenantConfig {
 };
 
 // Parses the daemon's tenant config: one tenant per line,
-//   tenant <name> rules=<file> [shards=N] [partition=rule|data]
+//   tenant <name> rules=<file> [shards=N] [partition=data]
 //          [async=0|1] [store=0|1] [tolerate_out_of_order=0|1]
-// Blank lines and '#' comments are skipped. Relative rules paths
-// resolve against the config file's directory.
+// shards=N > 1 runs the data-partitioned pipeline (the only multi-shard
+// mode); partition=data names it and is optional. partition=rule is
+// rejected: rule sharding was removed. Blank lines and '#' comments are
+// skipped. Relative rules paths resolve against the config file's
+// directory.
 Result<std::vector<TenantConfig>> ParseTenantConfigFile(
     const std::string& path);
 Result<std::vector<TenantConfig>> ParseTenantConfigText(

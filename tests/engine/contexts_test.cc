@@ -1,5 +1,6 @@
 // Parameter-context semantics (paper §4.2): the same overlapping history
-// pulled through all five contexts.
+// pulled through both contexts — chronicle, the paper's choice for RFID,
+// and unrestricted, its counterexample.
 
 #include <gtest/gtest.h>
 
@@ -40,36 +41,6 @@ TEST(ContextTest, ChroniclePairsOldestWithOldest) {
   EXPECT_EQ(h.matches[0].t_end, 3 * kSecond);
   EXPECT_EQ(h.matches[1].t_begin, 2 * kSecond);  // (a@2, b@4)
   EXPECT_EQ(h.matches[1].t_end, 4 * kSecond);
-}
-
-TEST(ContextTest, RecentReusesNewestInitiator) {
-  EngineHarness h(WithContext(ParameterContext::kRecent));
-  ASSERT_TRUE(h.AddRules(kSeqRule).ok());
-  FeedOverlap(&h);
-  ASSERT_EQ(h.matches.size(), 2u);
-  EXPECT_EQ(h.matches[0].t_begin, 2 * kSecond);  // (a@2, b@3)
-  EXPECT_EQ(h.matches[1].t_begin, 2 * kSecond);  // (a@2, b@4) — reused.
-}
-
-TEST(ContextTest, ContinuousPairsEveryOpenInitiator) {
-  EngineHarness h(WithContext(ParameterContext::kContinuous));
-  ASSERT_TRUE(h.AddRules(kSeqRule).ok());
-  FeedOverlap(&h);
-  // b@3 pairs with both a@1 and a@2 (consuming them); b@4 finds none.
-  ASSERT_EQ(h.matches.size(), 2u);
-  EXPECT_EQ(h.matches[0].t_end, 3 * kSecond);
-  EXPECT_EQ(h.matches[1].t_end, 3 * kSecond);
-}
-
-TEST(ContextTest, CumulativeMergesAllInitiators) {
-  EngineHarness h(WithContext(ParameterContext::kCumulative));
-  ASSERT_TRUE(h.AddRules(kSeqRule).ok());
-  FeedOverlap(&h);
-  // b@3 produces a single merged instance holding a@1 and a@2.
-  ASSERT_EQ(h.matches.size(), 1u);
-  EXPECT_EQ(h.matches[0].t_begin, 1 * kSecond);
-  EXPECT_EQ(h.matches[0].t_end, 3 * kSecond);
-  EXPECT_EQ(h.matches[0].instance->children().size(), 3u);
 }
 
 TEST(ContextTest, UnrestrictedProducesAllCombinations) {

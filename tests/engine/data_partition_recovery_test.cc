@@ -40,12 +40,11 @@ struct Harness {
   std::unique_ptr<RcedaEngine> engine;
   std::vector<Span> matches;
 
-  static std::unique_ptr<Harness> Make(int shards, PartitionMode partition) {
+  static std::unique_ptr<Harness> Make(int shards) {
     auto h = std::make_unique<Harness>();
     EngineOptions options;
     options.detector.context = ParameterContext::kChronicle;
     options.shards = shards;
-    options.partition = partition;
     h->engine = std::make_unique<RcedaEngine>(/*db=*/nullptr,
                                               events::Environment{}, options);
     std::vector<Span>* out = &h->matches;
@@ -55,6 +54,8 @@ struct Harness {
         });
     if (!h->engine->AddRulesFromText(kNegationRule).ok()) return nullptr;
     if (!h->engine->Compile().ok()) return nullptr;
+    // The rule is EPC-keyed: shards > 1 runs data-partitioned.
+    if (h->engine->data_partitioned() != (shards > 1)) return nullptr;
     return h;
   }
 };
@@ -75,17 +76,16 @@ std::vector<Observation> Stream() {
   };
 }
 
-void RunCutAt(size_t cut, int src_shards, PartitionMode src_mode,
-              int tgt_shards, PartitionMode tgt_mode) {
+void RunCutAt(size_t cut, int src_shards, int tgt_shards) {
   std::vector<Observation> stream = Stream();
   ASSERT_LE(cut, stream.size());
 
-  auto reference = Harness::Make(1, PartitionMode::kRule);
+  auto reference = Harness::Make(1);
   ASSERT_NE(reference, nullptr);
   ASSERT_TRUE(reference->engine->ProcessAll(stream).ok());
   ASSERT_TRUE(reference->engine->Flush().ok());
 
-  auto source = Harness::Make(src_shards, src_mode);
+  auto source = Harness::Make(src_shards);
   ASSERT_NE(source, nullptr);
   std::vector<Observation> head(stream.begin(),
                                 stream.begin() + static_cast<long>(cut));
@@ -95,7 +95,7 @@ void RunCutAt(size_t cut, int src_shards, PartitionMode src_mode,
   std::string bytes;
   ASSERT_TRUE(source->engine->SerializeState(&bytes).ok());
 
-  auto target = Harness::Make(tgt_shards, tgt_mode);
+  auto target = Harness::Make(tgt_shards);
   ASSERT_NE(target, nullptr);
   ASSERT_TRUE(target->engine->RestoreState(bytes).ok());
   ASSERT_TRUE(target->engine->ProcessAll(tail).ok());
@@ -112,24 +112,14 @@ TEST(DataPartitionRecoveryTest, PendingNegationWindowsStayPerKey) {
   // The fuzz failure: 2-shard data-partitioned capture between the two
   // falsifiers, restored serially, fired y's window with z's deadline.
   for (size_t cut = 0; cut <= Stream().size(); ++cut) {
-    RunCutAt(cut, /*src_shards=*/2, PartitionMode::kData,
-             /*tgt_shards=*/1, PartitionMode::kRule);
+    RunCutAt(cut, /*src_shards=*/2, /*tgt_shards=*/1);
   }
 }
 
 TEST(DataPartitionRecoveryTest, AllLayoutPairsAgree) {
-  struct Layout {
-    int shards;
-    PartitionMode mode;
-  };
-  const Layout layouts[] = {{1, PartitionMode::kRule},
-                            {2, PartitionMode::kRule},
-                            {2, PartitionMode::kData},
-                            {4, PartitionMode::kData}};
-  for (const Layout& src : layouts) {
-    for (const Layout& tgt : layouts) {
-      RunCutAt(/*cut=*/5, src.shards, src.mode, tgt.shards, tgt.mode);
-    }
+  // Serial plus three data-partitioned layouts.
+  for (int src : {1, 2, 3, 4}) {
+    for (int tgt : {1, 2, 3, 4}) RunCutAt(/*cut=*/5, src, tgt);
   }
 }
 

@@ -86,9 +86,7 @@ TEST(JoinKeyCollisionTest, CollidingTuplesStillRefuseToPair) {
 
 TEST(JoinKeyCollisionTest, EveryContextSurvivesForcedCollisions) {
   for (ParameterContext context :
-       {ParameterContext::kChronicle, ParameterContext::kRecent,
-        ParameterContext::kContinuous, ParameterContext::kCumulative,
-        ParameterContext::kUnrestricted}) {
+       {ParameterContext::kChronicle, ParameterContext::kUnrestricted}) {
     EngineOptions plain;
     plain.detector.context = context;
     EngineHarness normal(plain);
@@ -124,49 +122,51 @@ TEST(JoinKeyCollisionTest, NotLogCollisionsDoNotFalsifyOtherObjects) {
   EXPECT_EQ(h.matches[0].t_begin, 1 * kSecond);  // o1 confirmed, o3 killed.
 }
 
-// Under the cumulative context a complex instance's bindings are demoted
-// to multi-valued, so a nested conjunction's inner instances miss their
-// outer join variable and land in the wildcard bucket; the completing
-// side arrives equally incomplete and must scan every bucket. Two inner
-// pairs (all-multi on both sides) unify, so the outer event fires.
-constexpr char kNestedAndRule[] = R"(
-  CREATE RULE nested, nested conjunction
-  ON WITHIN((observation("a", o, t1) AND observation("b", o, t2))
-            AND (observation("c", o, t3) AND observation("d", o, t4)),
-            20sec)
+// A SEQ+ run's bindings are multi-valued, so a conjunction of two runs
+// joined on `o` misses its join variable on both sides: the first run
+// lands in the wildcard bucket, and the completing run, equally
+// incomplete, must scan every bucket. All-multi sides unify, so the
+// conjunction fires.
+constexpr char kRunPairRule[] = R"(
+  CREATE RULE runs, paired runs
+  ON WITHIN(TSEQ+(observation("a", o, t1), 0sec, 2sec)
+            AND TSEQ+(observation("c", o, t2), 0sec, 2sec), 20sec)
   IF true
   DO send alarm
 )";
 
-TEST(WildcardBucketTest, CumulativeInstancesPairThroughTheWildcardBucket) {
-  EngineOptions options;
-  options.detector.context = ParameterContext::kCumulative;
-  EngineHarness h(options);
-  ASSERT_TRUE(h.AddRules(kNestedAndRule).ok());
-  ASSERT_TRUE(h.ObserveAt("a", "o1", 1).ok());
-  ASSERT_TRUE(h.ObserveAt("b", "o1", 2).ok());  // Inner (a AND b) fires.
-  ASSERT_TRUE(h.ObserveAt("c", "o1", 3).ok());
-  ASSERT_TRUE(h.ObserveAt("d", "o1", 4).ok());  // Inner (c AND d) fires.
-  ASSERT_TRUE(h.engine->Flush().ok());
+void FeedRuns(EngineHarness* h) {
+  ASSERT_TRUE(h->ObserveAt("a", "o1", 1).ok());
+  ASSERT_TRUE(h->ObserveAt("a", "o1", 2).ok());
+  ASSERT_TRUE(h->ObserveAt("c", "o1", 3).ok());
+  ASSERT_TRUE(h->ObserveAt("c", "o1", 4).ok());
+  ASSERT_TRUE(h->engine->Flush().ok());
+}
+
+TEST(WildcardBucketTest, MultiValuedRunsPairThroughTheWildcardBucket) {
+  EngineHarness h;
+  ASSERT_TRUE(h.AddRules(kRunPairRule).ok());
+  FeedRuns(&h);
+  // One match: run a@[1,2] paired with run c@[3,4].
   ASSERT_EQ(h.matches.size(), 1u);
   EXPECT_EQ(h.matches[0].t_begin, 1 * kSecond);
   EXPECT_EQ(h.matches[0].t_end, 4 * kSecond);
 }
 
 TEST(WildcardBucketTest, WildcardPairingIsCollisionProof) {
-  EngineOptions plain;
-  plain.detector.context = ParameterContext::kCumulative;
-  EngineHarness normal(plain);
-  EngineHarness collided(ForcedCollisions(ParameterContext::kCumulative));
-  for (EngineHarness* h : {&normal, &collided}) {
-    ASSERT_TRUE(h->AddRules(kNestedAndRule).ok());
-    ASSERT_TRUE(h->ObserveAt("a", "o1", 1).ok());
-    ASSERT_TRUE(h->ObserveAt("b", "o1", 2).ok());
-    ASSERT_TRUE(h->ObserveAt("c", "o1", 3).ok());
-    ASSERT_TRUE(h->ObserveAt("d", "o1", 4).ok());
-    ASSERT_TRUE(h->engine->Flush().ok());
+  for (ParameterContext context :
+       {ParameterContext::kChronicle, ParameterContext::kUnrestricted}) {
+    EngineOptions plain;
+    plain.detector.context = context;
+    EngineHarness normal(plain);
+    EngineHarness collided(ForcedCollisions(context));
+    for (EngineHarness* h : {&normal, &collided}) {
+      ASSERT_TRUE(h->AddRules(kRunPairRule).ok());
+      FeedRuns(h);
+    }
+    EXPECT_EQ(Summarize(normal.matches), Summarize(collided.matches))
+        << ParameterContextName(context);
   }
-  EXPECT_EQ(Summarize(normal.matches), Summarize(collided.matches));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Engine lifecycle contract (engine/engine.h "Streaming"): every
 // streaming call requires Compile(); Flush() ends the stream and is
 // idempotent; Reset()/Compile() start a new stream. Exercised on both
-// the serial fast path and the sharded pipeline.
+// the serial fast path and the data-partitioned pipeline (kRule joins on
+// its object variable, so shards > 1 engages it).
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,7 @@ TEST_P(LifecycleTest, StreamingAfterFlushFails) {
   EngineHarness h(Options());
   ASSERT_TRUE(h.AddRules(kRule).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
+  EXPECT_EQ(h.engine->data_partitioned(), GetParam() > 1);
   ASSERT_TRUE(h.engine->Process({"r", "o", 1 * kSecond}).ok());
   ASSERT_TRUE(h.engine->Flush().ok());
   EXPECT_EQ(h.engine->Process({"r", "o", 2 * kSecond}).code(),

@@ -1,8 +1,8 @@
 // Data-parallel partitioning: the rule-partitionability classifier
 // (EventGraph::ClassifyRulePartition) over the paper's rule families,
-// engagement of the data-partitioned pipeline (replicas + residual +
-// silent rule-mode fallback), hash-routing balance, the serial replay
-// contract, and the unrouted-observation diagnostics.
+// engagement of the data-partitioned pipeline (replicas + residual, and
+// the serial fallback when no rule is keyed), hash-routing balance, the
+// serial replay contract, and the unrouted-observation diagnostics.
 
 #include <string>
 #include <vector>
@@ -116,7 +116,6 @@ constexpr const char* kCrossRules =
 EngineOptions DataOptions(int shards) {
   EngineOptions options;
   options.shards = shards;
-  options.partition = PartitionMode::kData;
   return options;
 }
 
@@ -136,11 +135,12 @@ TEST(DataPartitionedEngine, CrossObjectRulesAddResidualShard) {
   EXPECT_EQ(h.engine->num_shards(), 3);  // 2 replicas + 1 residual.
 }
 
-TEST(DataPartitionedEngine, AllCrossObjectFallsBackToRuleSharding) {
+TEST(DataPartitionedEngine, AllCrossObjectFallsBackToSerial) {
   testing::EngineHarness h(DataOptions(2));
   ASSERT_TRUE(h.AddRules(kCrossRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
   EXPECT_FALSE(h.engine->data_partitioned());
+  EXPECT_EQ(h.engine->num_shards(), 1);  // The serial in-place path.
 }
 
 // Streams shelf1 -> shelf2 movements for `objects` distinct EPCs with
@@ -165,14 +165,10 @@ std::vector<events::Observation> KeyedStream(int objects) {
   return out;
 }
 
-std::vector<std::string> RunAndFormat(int shards, PartitionMode partition,
-                                      const std::string& program,
+std::vector<std::string> RunAndFormat(int shards, const std::string& program,
                                       const std::vector<events::Observation>&
                                           stream) {
-  EngineOptions options;
-  options.shards = shards;
-  options.partition = partition;
-  testing::EngineHarness h(options);
+  testing::EngineHarness h(DataOptions(shards));
   EXPECT_TRUE(h.AddRules(program).ok());
   EXPECT_TRUE(h.engine->Compile().ok());
   EXPECT_TRUE(h.engine->ProcessAll(stream).ok());
@@ -192,11 +188,10 @@ TEST(DataPartitionedEngine, ReplaysSerialOrderExactly) {
   const std::string program = std::string(kKeyedRules) + kCrossRules;
   const std::vector<events::Observation> stream = KeyedStream(12);
   const std::vector<std::string> serial =
-      RunAndFormat(1, PartitionMode::kRule, program, stream);
+      RunAndFormat(1, program, stream);
   EXPECT_FALSE(serial.empty());
   for (int shards : {2, 4}) {
-    EXPECT_EQ(RunAndFormat(shards, PartitionMode::kData, program, stream),
-              serial)
+    EXPECT_EQ(RunAndFormat(shards, program, stream), serial)
         << "data-partitioned replay diverged at " << shards << " shards";
   }
 }

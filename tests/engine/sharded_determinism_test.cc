@@ -1,6 +1,8 @@
 // Regression test for the sharded-pipeline determinism contract: the
 // Fig. 9 supply-chain trace must produce identical per-rule fired
 // counts, engine stats, and database contents for shards in {1, 2, 4}.
+// The generated rule families join on the tag EPC, so shards > 1 runs
+// data-partitioned (asserted).
 
 #include <cstdint>
 #include <string>
@@ -59,6 +61,7 @@ class ShardedDeterminismTest : public ::testing::Test {
     RcedaEngine engine(&db, chain_.environment(), options);
     EXPECT_TRUE(engine.AddRulesFromText(program_).ok());
     EXPECT_TRUE(engine.Compile().ok());
+    EXPECT_EQ(engine.data_partitioned(), shards > 1);
 
     for (size_t begin = 0; begin < stream_.size(); begin += kBatchSize) {
       size_t end = std::min(begin + kBatchSize, stream_.size());

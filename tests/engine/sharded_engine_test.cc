@@ -1,6 +1,8 @@
-// Lifecycle and parity tests for the sharded detection pipeline:
-// partitioning, routing, Reset/Decompile/Flush, re-Compile with a new
-// shard count, and the per-shard DebugReport.
+// Lifecycle and parity tests for the data-partitioned detection
+// pipeline: partitioning, routing, Reset/Decompile/Flush, re-Compile with
+// a new shard count, and the per-shard DebugReport. Every rule in
+// kFourRules joins on the object variable `o`, so shards > 1 always
+// engages the pipeline (asserted where the engine is compiled).
 
 #include "engine/sharded_engine.h"
 
@@ -76,6 +78,7 @@ RunSummary RunScripted(int shards, bool batch) {
   EngineHarness h(WithShards(shards));
   EXPECT_TRUE(h.AddRules(kFourRules).ok());
   EXPECT_TRUE(h.engine->Compile().ok());
+  EXPECT_EQ(h.engine->data_partitioned(), shards > 1);
   if (batch) {
     EXPECT_TRUE(h.engine->ProcessAll(ScriptedStream()).ok());
   } else {
@@ -126,6 +129,7 @@ TEST(ShardedEngineTest, ResetClearsEveryShard) {
   EngineHarness h(WithShards(4));
   ASSERT_TRUE(h.AddRules(kFourRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
+  ASSERT_TRUE(h.engine->data_partitioned());
   ASSERT_TRUE(h.ObserveAt("a", "x", 1).ok());
   ASSERT_TRUE(h.ObserveAt("b", "x", 2).ok());
   ASSERT_TRUE(h.ObserveAt("d", "y", 3).ok());
@@ -150,6 +154,7 @@ TEST(ShardedEngineTest, FlushDrainsPseudoEventsOnAllShards) {
   EngineHarness h(WithShards(4));
   ASSERT_TRUE(h.AddRules(kFourRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
+  ASSERT_TRUE(h.engine->data_partitioned());
   // Two NOT windows pending on (potentially) different shards.
   ASSERT_TRUE(h.ObserveAt("d", "y", 1).ok());
   ASSERT_TRUE(h.ObserveAt("d", "z", 2).ok());
@@ -163,7 +168,8 @@ TEST(ShardedEngineTest, RecompileWithDifferentShardCount) {
   EngineHarness h(WithShards(2));
   ASSERT_TRUE(h.AddRules(kFourRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
-  EXPECT_EQ(h.engine->num_shards(), 2);
+  ASSERT_TRUE(h.engine->data_partitioned());
+  EXPECT_EQ(h.engine->num_shards(), 2);  // Keyed replicas, no residual.
   ASSERT_TRUE(h.engine->ProcessAll(ScriptedStream()).ok());
   ASSERT_TRUE(h.engine->Flush().ok());
   auto fired_totals = [&h] {
@@ -193,18 +199,23 @@ TEST(ShardedEngineTest, RecompileWithDifferentShardCount) {
   ASSERT_TRUE(h.engine->SetShards(1).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
   EXPECT_EQ(h.engine->num_shards(), 1);
+  EXPECT_FALSE(h.engine->data_partitioned());
 }
 
 TEST(ShardedEngineTest, DebugReportHasPerShardSections) {
   EngineHarness h(WithShards(2));
   ASSERT_TRUE(h.AddRules(kFourRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
+  ASSERT_TRUE(h.engine->data_partitioned());
   ASSERT_TRUE(h.ObserveAt("a", "x", 1).ok());
   std::string report = h.engine->DebugReport();
-  EXPECT_NE(report.find("sharded engine: 2 shards"), std::string::npos)
+  EXPECT_NE(report.find("sharded engine: 2 shards key=object replicas=2"),
+            std::string::npos)
       << report;
-  EXPECT_NE(report.find("shard 0: rules=["), std::string::npos) << report;
-  EXPECT_NE(report.find("shard 1: rules=["), std::string::npos) << report;
+  EXPECT_NE(report.find("shard 0 [replica]: rules=["), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("shard 1 [replica]: rules=["), std::string::npos)
+      << report;
   EXPECT_NE(report.find("inbox_depth=0/"), std::string::npos) << report;
   EXPECT_NE(report.find("outbox_depth=0/"), std::string::npos) << report;
   EXPECT_NE(report.find("produced="), std::string::npos) << report;
@@ -216,6 +227,7 @@ TEST(ShardedEngineTest, OutOfOrderRejectionMatchesSerial) {
     EngineHarness h(WithShards(shards));
     ASSERT_TRUE(h.AddRules(kFourRules).ok());
     ASSERT_TRUE(h.engine->Compile().ok());
+    EXPECT_EQ(h.engine->data_partitioned(), shards > 1);
     ASSERT_TRUE(h.ObserveAt("a", "x", 5).ok());
     Status status = h.ObserveAt("a", "x", 3);
     EXPECT_FALSE(status.ok()) << "shards=" << shards;
@@ -226,6 +238,7 @@ TEST(ShardedEngineTest, OutOfOrderRejectionMatchesSerial) {
     EngineHarness h(options);
     ASSERT_TRUE(h.AddRules(kFourRules).ok());
     ASSERT_TRUE(h.engine->Compile().ok());
+    EXPECT_EQ(h.engine->data_partitioned(), shards > 1);
     ASSERT_TRUE(h.ObserveAt("a", "x", 5).ok());
     ASSERT_TRUE(h.ObserveAt("a", "x", 3).ok());
     EXPECT_EQ(h.engine->stats().detector.out_of_order_dropped, 1u);
@@ -233,11 +246,12 @@ TEST(ShardedEngineTest, OutOfOrderRejectionMatchesSerial) {
   }
 }
 
-// SEQ+ nodes are private per occurrence (the graph compiler never shares
-// them), so rules with textually identical TSEQ+ subevents are NOT coupled:
-// each rule's run state is its own, and they may spread across shards.
-TEST(ShardedEngineTest, IdenticalSeqPlusRulesAreIndependent) {
-  constexpr char kCoupled[] = R"(
+// SEQ+ rules are never key-partitionable (an open run absorbs instances
+// across keys), so they all share the one residual shard beside the
+// keyed replicas — which also keeps any SEQ+ node shared between rules
+// on a single shard — and the replay still matches serial.
+TEST(ShardedEngineTest, SeqPlusRulesShareTheResidualShard) {
+  constexpr char kRuns[] = R"(
     CREATE RULE pack1, run closed by b
     ON TSEQ(TSEQ+(observation("a", o1, t1), 0.1sec, 1sec);
             observation("b", o2, t2), 0sec, 20sec)
@@ -250,27 +264,39 @@ TEST(ShardedEngineTest, IdenticalSeqPlusRulesAreIndependent) {
     IF true
     DO send alarm
 
-    CREATE RULE other, independent
+    CREATE RULE other, keyed
     ON observation("e", o, t1)
     IF true
     DO send alarm
   )";
-  Result<rules::RuleSet> parsed = rules::ParseRuleProgram(kCoupled);
-  ASSERT_TRUE(parsed.ok());
-  Result<EventGraph> graph = EventGraph::Build(parsed->rules);
-  ASSERT_TRUE(graph.ok());
-
-  std::vector<std::vector<size_t>> groups = graph->CoupledRuleGroups();
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0], (std::vector<size_t>{0}));
-  EXPECT_EQ(groups[1], (std::vector<size_t>{1}));
-  EXPECT_EQ(groups[2], (std::vector<size_t>{2}));
-
-  EngineHarness h(WithShards(4));
-  ASSERT_TRUE(h.AddRules(kCoupled).ok());
-  ASSERT_TRUE(h.engine->Compile().ok());
-  // 3 independent rules -> 3 populated shards.
-  EXPECT_EQ(h.engine->num_shards(), 3);
+  const std::vector<events::Observation> stream = {
+      {"a", "p", 1 * kSecond},          {"a", "q", 1 * kSecond + kSecond / 2},
+      {"e", "x", 2 * kSecond},          {"b", "case1", 4 * kSecond},
+      {"a", "r", 6 * kSecond},          {"c", "case2", 9 * kSecond},
+      {"e", "y", 10 * kSecond},
+  };
+  auto run = [&](int shards, std::string* report) {
+    EngineHarness h(WithShards(shards));
+    EXPECT_TRUE(h.AddRules(kRuns).ok());
+    EXPECT_TRUE(h.engine->Compile().ok());
+    EXPECT_TRUE(h.engine->ProcessAll(stream).ok());
+    EXPECT_TRUE(h.engine->Flush().ok());
+    if (report != nullptr) *report = h.engine->DebugReport();
+    std::vector<std::string> log;
+    for (const RecordedMatch& m : h.matches) {
+      log.push_back(m.rule_id + "[" + std::to_string(m.t_begin) + "," +
+                    std::to_string(m.t_end) + "]");
+    }
+    EXPECT_EQ(h.engine->num_shards(), shards > 1 ? shards + 1 : 1);
+    return log;
+  };
+  const std::vector<std::string> serial = run(1, nullptr);
+  EXPECT_FALSE(serial.empty());
+  std::string report;
+  EXPECT_EQ(run(4, &report), serial);
+  EXPECT_NE(report.find("shard 4 [residual]: rules=[pack1 pack2]"),
+            std::string::npos)
+      << report;
 }
 
 TEST(ShardedEngineTest, SubscriptionVocabularyCoversLeafKinds) {

@@ -1,8 +1,10 @@
 // Snapshot format contract (engine/snapshot.h): deterministic bytes,
 // versioned header with explicit gates on magic / version / rule-set
 // fingerprint, and golden on-disk fixtures — one per format version this
-// build reads (tests/engine/testdata/checkpoint_v<N>.snap) — that every
-// future build must keep restoring.
+// build reads (tests/engine/testdata/checkpoint_v<N>.snap), plus one
+// multi-source snapshot from a former rule-sharded layout
+// (checkpoint_v2_rule2.snap) — that every future build must keep
+// restoring.
 //
 // After an INTENTIONAL format bump, commit a fixture for the new version
 // (the old ones stay and must keep restoring) via:
@@ -259,6 +261,8 @@ TEST(SnapshotGoldenTest, CommittedFixturesRestoreOnEveryShardCount) {
       auto restored = std::make_unique<EngineHarness>(WithShards(shards));
       ASSERT_TRUE(restored->AddRules(kFixtureRules).ok());
       ASSERT_TRUE(restored->engine->Compile().ok());
+      // `pair` is EPC-keyed: shards > 1 runs data-partitioned.
+      ASSERT_EQ(restored->engine->data_partitioned(), shards > 1);
       ASSERT_TRUE(restored->engine->RestoreState(bytes).ok())
           << "v" << version << " on " << shards << " shards";
       ASSERT_TRUE(restored->engine->ProcessAll(ContinuationStream()).ok());
@@ -270,6 +274,52 @@ TEST(SnapshotGoldenTest, CommittedFixturesRestoreOnEveryShardCount) {
                   reference->engine->FiredCount(rule))
             << rule << " v" << version << " on " << shards << " shards";
       }
+    }
+  }
+}
+
+// Builds that had rule sharding wrote one detector source per shard;
+// BuildRestorePlan still merges such multi-source snapshots. This fixture
+// was captured from the fixture engine on 2 rule shards (`pair` + `run`
+// on one, `quiet` on the other) after FixtureStream(); no current writer
+// produces a multi-source snapshot, so it is the merge's only coverage.
+TEST(SnapshotGoldenTest, RuleShardedFixtureRestoresOntoEveryLayout) {
+  std::ifstream in(std::string(RFIDCEP_TESTDATA_DIR) +
+                       "/checkpoint_v2_rule2.snap",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string bytes = buf.str();
+  snapshot::EngineSnapshot decoded;
+  ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &decoded).ok());
+  EXPECT_EQ(decoded.version, 2u);
+  EXPECT_EQ(decoded.source_shards, 2);
+  ASSERT_EQ(decoded.sources.size(), 2u);
+
+  auto reference = LoadedHarness();
+  std::string discard;
+  ASSERT_TRUE(reference->engine->SerializeState(&discard).ok());
+  const size_t at_checkpoint = reference->matches.size();
+  ASSERT_TRUE(reference->engine->ProcessAll(ContinuationStream()).ok());
+  ASSERT_TRUE(reference->engine->Flush().ok());
+  ASSERT_FALSE(MatchLog(*reference, at_checkpoint).empty());
+
+  for (int shards : {1, 2, 4}) {
+    auto restored = std::make_unique<EngineHarness>(WithShards(shards));
+    ASSERT_TRUE(restored->AddRules(kFixtureRules).ok());
+    ASSERT_TRUE(restored->engine->Compile().ok());
+    ASSERT_EQ(restored->engine->data_partitioned(), shards > 1);
+    ASSERT_TRUE(restored->engine->RestoreState(bytes).ok())
+        << shards << " shards";
+    ASSERT_TRUE(restored->engine->ProcessAll(ContinuationStream()).ok());
+    ASSERT_TRUE(restored->engine->Flush().ok());
+    EXPECT_EQ(MatchLog(*restored), MatchLog(*reference, at_checkpoint))
+        << shards << " shards";
+    for (const char* rule : {"pair", "quiet", "run"}) {
+      EXPECT_EQ(restored->engine->FiredCount(rule),
+                reference->engine->FiredCount(rule))
+          << rule << " on " << shards << " shards";
     }
   }
 }

@@ -1,7 +1,8 @@
 // Integration test for the observability layer: replay a known
 // supply-chain trace with metrics on and assert that ExportMetrics()
 // totals reconcile exactly with EngineStats and FiredCount — on the
-// serial path and on the sharded pipeline at shards {2, 4}, where the
+// serial path and on the data-partitioned pipeline at shards {2, 4}
+// (the generated rules join on the tag EPC, so it engages), where the
 // per-shard routing counters must also account for every observation.
 
 #include <cstdint>
@@ -86,6 +87,7 @@ class MetricsIntegrationTest : public ::testing::Test {
     RcedaEngine engine(&db, chain_.environment(), options);
     ASSERT_TRUE(engine.AddRulesFromText(program_).ok());
     ASSERT_TRUE(engine.Compile().ok());
+    ASSERT_EQ(engine.data_partitioned(), shards > 1);
 
     for (size_t begin = 0; begin < stream_.size(); begin += kBatchSize) {
       size_t end = std::min(begin + kBatchSize, stream_.size());
@@ -134,13 +136,14 @@ class MetricsIntegrationTest : public ::testing::Test {
               static_cast<int64_t>(stats.procedures_invoked));
 
     // Detection-tier counters: rule matches partition exactly across
-    // shards (each rule lives on one shard).
+    // shards (each observation reaches one replica of a keyed rule).
     EXPECT_EQ(SumFamily(samples, "detector_rule_matches_total{shard="),
               static_cast<int64_t>(stats.detector.rule_matches));
 
     if (shards > 1) {
       // Every accepted observation is routed to >= 1 shard or counted
-      // unrouted; enqueue totals can exceed observations via fan-out.
+      // unrouted; enqueue totals can exceed observations when both a
+      // replica and the residual shard consume one.
       int64_t routed = SumFamily(samples, "shard_routed_total{shard=");
       int64_t unrouted =
           SampleOr(samples, "rfidcep_unrouted_observations_total", 0);

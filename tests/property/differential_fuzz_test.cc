@@ -3,15 +3,15 @@
 //
 //   1. reference interpreter (src/engine/reference/) vs serial Detector —
 //      per-rule span multisets;
-//   2. serial vs ShardedDetector at shards 2 and 4 — per-rule span lists
-//      in exact firing order (the sharded pipeline's determinism
-//      guarantee is per rule, not across rules);
+//   2. serial vs the data-partitioned ShardedDetector at shards 2, 3 and
+//      4 — per-rule span lists in exact firing order (a case with no
+//      key-partitionable rule runs the serial fallback instead);
 //   3. single-shot Process loop vs batch-split ProcessAll;
 //   4. end-of-stream Flush vs incremental AdvanceTo interleaved between
 //      observations (pseudo events fire early instead of at Flush);
 //   5. rule-set compiler axis — the fully compiled serial baseline
 //      (indexed dispatch + predicate pushdown + SEQ+ prefix sharing) vs
-//      each stage disabled, serially and on a forced-data-partition
+//      each stage disabled, serially and on the data-partitioned
 //      pipeline; the crash-recovery sweep additionally restores
 //      prefix-shared snapshots into unshared compiles and vice versa;
 //   6. durable (WAL) crash axis — rules carry real SQL actions against
@@ -28,7 +28,7 @@
 //      (engine/rewrite.h: operand permutation, OR rotation, ⊥-branch
 //      introduction, SEQ⇄TSEQ, bound slack, WITHIN push); original and
 //      rewritten programs must agree through the reference interpreter,
-//      serial/sharded/data-partitioned engines, and every compile mode —
+//      serial and data-partitioned engines, and every compile mode —
 //      ordered when the chain preserves order, as multisets otherwise.
 //
 // Cases are seeded: random rule sets (OR/AND/NOT/SEQ/TSEQ/SEQ+/TSEQ+/
@@ -357,11 +357,6 @@ struct RunSpec {
   bool split_batch = false;  // Two ProcessAll halves instead of Process.
   bool incremental = false;  // AdvanceTo interleaved between observations.
   bool tolerate_out_of_order = false;
-  // Force data-partitioned sharding (keyed rules replicated, stream split
-  // by hash(EPC/site), cross-object rules on the residual shard). Falls
-  // back to rule sharding when no generated rule is key-partitionable —
-  // still a valid differential run, just one that exercises less.
-  PartitionMode partition = PartitionMode::kRule;
   // Rule-set compiler axis. The serial baseline runs fully compiled
   // (indexed dispatch + predicate pushdown + prefix sharing — the engine
   // defaults); these toggles run the same case with compiler stages
@@ -377,7 +372,6 @@ SpansByRule RunEngine(const std::string& program,
   options.detector.context = ParameterContext::kChronicle;
   options.detector.tolerate_out_of_order = spec.tolerate_out_of_order;
   options.shards = spec.shards;
-  options.partition = spec.partition;
   if (spec.compile_off) {
     options.detector.compile.indexed_dispatch = false;
     options.detector.compile.predicate_pushdown = false;
@@ -468,36 +462,26 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
     RunSpec spec;
   } kProtocols[] = {
       {"sharded(2)", RunSpec{2, false, false, false}},
+      {"sharded(3)", RunSpec{3, false, false, false}},
       {"sharded(4)", RunSpec{4, false, false, false}},
       {"batch-split ProcessAll", RunSpec{1, true, false, false}},
       {"incremental AdvanceTo", RunSpec{1, false, true, false}},
+      {"sharded(2) batch-split", RunSpec{2, true, false, false}},
+      {"sharded(4) batch-split", RunSpec{4, true, false, false}},
       {"sharded(2) incremental", RunSpec{2, false, true, false}},
-      {"sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData}},
-      {"sharded(4) data",
-       RunSpec{4, false, false, false, PartitionMode::kData}},
-      {"sharded(2) data batch-split",
-       RunSpec{2, true, false, false, PartitionMode::kData}},
-      {"sharded(2) data incremental",
-       RunSpec{2, false, true, false, PartitionMode::kData}},
+      {"sharded(3) incremental", RunSpec{3, false, true, false}},
       // Rule-set compiler axis: the serial baseline above is the fully
       // compiled engine, so comparing these against it IS the
       // optimized-vs-unoptimized differential.
-      {"compile off",
-       RunSpec{1, false, false, false, PartitionMode::kRule,
-               /*compile_off=*/true}},
+      {"compile off", RunSpec{1, false, false, false, /*compile_off=*/true}},
       {"no predicate pushdown",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false,
-               /*no_pushdown=*/true}},
+       RunSpec{1, false, false, false, false, /*no_pushdown=*/true}},
       {"no prefix sharing",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false, false,
-               /*no_share=*/true}},
-      {"compile off sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData,
-               /*compile_off=*/true}},
-      {"no prefix sharing sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData, false, false,
-               /*no_share=*/true}},
+       RunSpec{1, false, false, false, false, false, /*no_share=*/true}},
+      {"compile off sharded(2)",
+       RunSpec{2, false, false, false, /*compile_off=*/true}},
+      {"no prefix sharing sharded(2)",
+       RunSpec{2, false, false, false, false, false, /*no_share=*/true}},
   };
   for (const auto& protocol : kProtocols) {
     SpansByRule other = RunEngine(program, c.stream, protocol.spec);
@@ -518,7 +502,7 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
 // --- Crash-recovery protocol (tentpole validation) ---------------------------
 //
 // Checkpoint at a salt-chosen prefix, restore into serial and sharded
-// (2, 4) engines, continue the stream: (prefix matches on the source) +
+// (2, 3, 4) engines, continue the stream: (prefix matches on the source) +
 // (suffix matches on the restored engine) must equal the uninterrupted
 // serial run exactly, per rule, in emission order. The serial→serial
 // snapshot is additionally required to be byte-idempotent
@@ -528,15 +512,13 @@ struct RecoveryEngine {
   std::unique_ptr<RcedaEngine> engine;
   SpansByRule matches;
 
-  static std::unique_ptr<RecoveryEngine> Make(
-      const std::string& program, int shards,
-      PartitionMode partition = PartitionMode::kRule,
-      bool share_prefixes = true) {
+  static std::unique_ptr<RecoveryEngine> Make(const std::string& program,
+                                              int shards,
+                                              bool share_prefixes = true) {
     auto r = std::make_unique<RecoveryEngine>();
     EngineOptions options;
     options.detector.context = ParameterContext::kChronicle;
     options.shards = shards;
-    options.partition = partition;
     options.detector.compile.share_prefixes = share_prefixes;
     r->engine = std::make_unique<RcedaEngine>(/*db=*/nullptr,
                                               events::Environment{}, options);
@@ -572,29 +554,20 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
 
   struct Layout {
     int shards;
-    PartitionMode partition;
     bool share = true;  // Prefix-sharing compile (the engine default).
   };
   // Every source layout checkpoints; every target layout must restore it
-  // exactly — including rule-sharded snapshots onto data-partitioned
-  // layouts and vice versa (a data-partitioned capture merges its keyed
-  // replicas into one serial-equivalent source), and prefix-shared
-  // snapshots onto unshared compiles and vice versa (the state-key alias
-  // pass in engine/snapshot.cc).
-  static constexpr Layout kSources[] = {{1, PartitionMode::kRule},
-                                        {2, PartitionMode::kRule},
-                                        {2, PartitionMode::kData},
-                                        {1, PartitionMode::kRule, false}};
-  static constexpr Layout kTargets[] = {{1, PartitionMode::kRule},
-                                        {2, PartitionMode::kRule},
-                                        {4, PartitionMode::kRule},
-                                        {2, PartitionMode::kData},
-                                        {4, PartitionMode::kData},
-                                        {1, PartitionMode::kRule, false}};
+  // exactly — across replica counts (a data-partitioned capture merges
+  // its keyed replicas into one serial-equivalent source, and restore
+  // re-splits it by key), and prefix-shared snapshots onto unshared
+  // compiles and vice versa (the state-key alias pass in
+  // engine/snapshot.cc).
+  static constexpr Layout kSources[] = {{1}, {2}, {3}, {1, false}};
+  static constexpr Layout kTargets[] = {{1}, {2},        {3},
+                                        {4}, {1, false}, {2, false}};
   for (const Layout& src : kSources) {
     const int source_shards = src.shards;
-    auto source = RecoveryEngine::Make(program, source_shards, src.partition,
-                                       src.share);
+    auto source = RecoveryEngine::Make(program, source_shards, src.share);
     if (source == nullptr) return "source engine failed to compile";
     if (!source->engine->ProcessAll(head).ok()) {
       return "source prefix processing failed";
@@ -605,7 +578,7 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
              std::to_string(source_shards) + " shards: " + s.ToString();
     }
     if (source_shards == 1) {
-      auto twin = RecoveryEngine::Make(program, 1, src.partition, src.share);
+      auto twin = RecoveryEngine::Make(program, 1, src.share);
       if (twin == nullptr) return "twin engine failed to compile";
       if (Status s = twin->engine->RestoreState(bytes); !s.ok()) {
         return "serial restore failed: " + s.ToString();
@@ -618,8 +591,7 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
     }
     for (const Layout& tgt : kTargets) {
       const int target_shards = tgt.shards;
-      auto target = RecoveryEngine::Make(program, target_shards,
-                                         tgt.partition, tgt.share);
+      auto target = RecoveryEngine::Make(program, target_shards, tgt.share);
       if (target == nullptr) return "target engine failed to compile";
       if (Status s = target->engine->RestoreState(bytes); !s.ok()) {
         return "restore into " + std::to_string(target_shards) +
@@ -635,9 +607,7 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
         combined.insert(combined.end(), post.begin(), post.end());
         if (combined != expected) {
           auto describe = [](const Layout& l) {
-            return std::to_string(l.shards) +
-                   (l.partition == PartitionMode::kData ? "d" : "r") +
-                   (l.share ? "" : " unshared");
+            return std::to_string(l.shards) + (l.share ? "" : " unshared");
           };
           return "crash-recovery divergence on rule " + rule_id + " (cut " +
                  std::to_string(cut) + "/" +
@@ -1267,20 +1237,14 @@ std::optional<std::string> CheckMetamorphicCase(
     RunSpec spec;
   } kMetaProtocols[] = {
       {"sharded(2)", RunSpec{2, false, false, false}},
+      {"sharded(3)", RunSpec{3, false, false, false}},
       {"sharded(4)", RunSpec{4, false, false, false}},
-      {"sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData}},
-      {"sharded(4) data",
-       RunSpec{4, false, false, false, PartitionMode::kData}},
-      {"compile off",
-       RunSpec{1, false, false, false, PartitionMode::kRule,
-               /*compile_off=*/true}},
+      {"sharded(2) batch-split", RunSpec{2, true, false, false}},
+      {"compile off", RunSpec{1, false, false, false, /*compile_off=*/true}},
       {"no predicate pushdown",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false,
-               /*no_pushdown=*/true}},
+       RunSpec{1, false, false, false, false, /*no_pushdown=*/true}},
       {"no prefix sharing",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false, false,
-               /*no_share=*/true}},
+       RunSpec{1, false, false, false, false, false, /*no_share=*/true}},
   };
   for (const auto& protocol : kMetaProtocols) {
     SpansByRule other = RunEngine(rew_program, c.stream, protocol.spec);
@@ -1460,8 +1424,8 @@ TEST(DifferentialFuzz, MetamorphicEquivalence) {
 
 TEST(DifferentialFuzz, CrashRecoveryAgrees) {
   // Tentpole acceptance sweep: every seeded case is checkpointed at a
-  // seed-chosen prefix, restored serially and re-partitioned onto 2 and
-  // 4 shards, and the stitched runs must reproduce the uninterrupted
+  // seed-chosen prefix, restored serially and re-partitioned onto 2, 3
+  // and 4 shards, and the stitched runs must reproduce the uninterrupted
   // execution exactly.
   const int cases = FuzzCases();
   for (int i = 0; i < cases; ++i) {
@@ -1510,14 +1474,19 @@ TEST(DifferentialFuzz, DurableCrashRecoveryAgrees) {
   for (int count : image_modes) EXPECT_GT(count, cases / 5);
 }
 
-// A rule-sharded shard that sees none of a batch used to keep its
-// expirations until its next routed observation, while the advance a
-// checkpoint captures at fired them at once: the checkpointed run then
-// logged rule f1's firing before f2's, the uninterrupted run after it,
-// and a same-layout recovery was not byte-identical. (Minimized from
-// sweep seed 0xda7a * 1000003 + 7172; every store-recovery mode failed
-// it.)
-TEST(DifferentialFuzz, RuleShardedCheckpointKeepsCrossRuleOrder) {
+// A shard that sees none of a batch used to keep its expirations until
+// its next routed observation, while the advance a checkpoint captures
+// at fired them at once: the checkpointed run then logged rule f1's
+// firing before f2's, the uninterrupted run after it, and a same-layout
+// recovery was not byte-identical. (Minimized from sweep seed
+// 0xda7a * 1000003 + 7172 on a 2-shard rule-sharded layout; every
+// store-recovery mode failed it.) f1 and f2 are not key-partitionable,
+// so the EPC-keyed f3 is added to make 2 shards engage the data-
+// partitioned pipeline: f1 and f2 share the residual shard, and f3's NOT
+// windows expire on replicas that most single-observation batches never
+// touch. Dropping the per-batch advance of untouched shards
+// (ShardedDetector::ProcessBatch) makes this case fail again.
+TEST(DifferentialFuzz, ShardedCheckpointKeepsCrossRuleOrder) {
   FuzzCase c;
   c.rules = {
       "CREATE RULE f1, fuzz generated ON WITHIN(TSEQ+(observation(\"B\", o, "
@@ -1527,6 +1496,9 @@ TEST(DifferentialFuzz, RuleShardedCheckpointKeepsCrossRuleOrder) {
       "\"B\", o4, t5); (observation(\"A\", o, t3) AND observation(\"A\", o, "
       "t2)), 0sec, 3sec); observation(\"C\", o, t1)), 7sec) IF true DO "
       "INSERT INTO OBSERVATION VALUES (\"relay\", o, t2)",
+      "CREATE RULE f3, keyed ON WITHIN(observation(\"A\", o, t1) AND NOT "
+      "observation(\"C\", o, t2), 1sec) IF true DO INSERT INTO OBSERVATION "
+      "VALUES (\"keyed\", o, t1)",
   };
   const std::pair<const char*, const char*> reads[] = {
       {"C", "y"}, {"C", "x"}, {"A", "y"}, {"A", "x"}, {"C", "x"},
@@ -1545,6 +1517,17 @@ TEST(DifferentialFuzz, RuleShardedCheckpointKeepsCrossRuleOrder) {
   // The sweep's salt for that seed: sync 2 shards on both sides of the
   // crash, checkpoint after 13 observations.
   const uint64_t salt = 55930174962ULL * 0x9e3779b97f4a7c15ULL;
+  {
+    Result<rules::RuleSet> set = rules::ParseRuleProgram(c.Program());
+    ASSERT_TRUE(set.ok());
+    EngineOptions options;
+    options.shards = 2;
+    RcedaEngine engine(/*db=*/nullptr, events::Environment{}, options);
+    ASSERT_TRUE(engine.AddRules(std::move(*set)).ok());
+    ASSERT_TRUE(engine.Compile().ok());
+    ASSERT_TRUE(engine.data_partitioned());
+    ASSERT_EQ(engine.num_shards(), 3);  // 2 replicas + the residual.
+  }
   std::optional<std::string> why = CheckDurableRecoveryCase(c, salt);
   EXPECT_FALSE(why.has_value()) << why.value_or("");
 }

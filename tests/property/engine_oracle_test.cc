@@ -146,8 +146,7 @@ TEST_P(OracleSweep, EveryEmittedInstanceRevalidates) {
   ASSERT_TRUE(expr.ok());
 
   for (ParameterContext context :
-       {ParameterContext::kChronicle, ParameterContext::kRecent,
-        ParameterContext::kContinuous, ParameterContext::kUnrestricted}) {
+       {ParameterContext::kChronicle, ParameterContext::kUnrestricted}) {
     EngineOptions options;
     options.detector.context = context;
     EngineHarness h(options);

@@ -802,5 +802,31 @@ TEST_F(ServerTest, IdleHttpClientDoesNotBlockScrapesOrShutdown) {
   EXPECT_TRUE(fs::exists(server.tenant("alpha")->checkpoint_path()));
 }
 
+// Data partitioning is the only multi-shard mode: partition=data stays
+// accepted, and partition=rule fails loudly rather than silently moving a
+// tenant onto a different layout.
+TEST(TenantConfigTest, PartitionRuleIsRejectedAndDataAccepted) {
+  Result<std::vector<TenantConfig>> data =
+      ParseTenantConfigText("tenant a rules=r.txt shards=3 partition=data\n",
+                            "");
+  ASSERT_TRUE(data.ok()) << data.status().message();
+  ASSERT_EQ(data->size(), 1u);
+  EXPECT_EQ((*data)[0].shards, 3);
+
+  Result<std::vector<TenantConfig>> rule =
+      ParseTenantConfigText("tenant a rules=r.txt shards=3 partition=rule\n",
+                            "");
+  ASSERT_FALSE(rule.ok());
+  EXPECT_EQ(rule.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rule.status().message().find("rule sharding was removed"),
+            std::string::npos)
+      << rule.status().message();
+
+  EXPECT_EQ(ParseTenantConfigText("tenant a rules=r.txt partition=hash\n", "")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace rfidcep::server
