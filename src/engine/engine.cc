@@ -1,6 +1,8 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -583,16 +585,24 @@ Status RcedaEngine::RestoreDecoded(const snapshot::EngineSnapshot& snap,
   if (options_.enable_metrics) {
     // Counter continuity: zero everything, then re-apply the snapshot's
     // totals. Shard-labeled counters transfer verbatim between identical
-    // shard layouts. Across layouts (including every restore of a
-    // data-partitioned engine's snapshot, which is pre-merged to one
-    // serial-equivalent source) the per-shard SPLIT is meaningless but
-    // the totals are not: they are summed over the shard label and
-    // credited to the target's shard-0 instrument — the same convention
-    // the restore plan uses for unkeyed state. Per-node firing counters
-    // are the exception: node ids are relative to each layout's graphs,
-    // so cross-layout they stay with the layout that did the work.
+    // shard layouts. Across layouts the per-shard SPLIT is meaningless
+    // but the totals are not: they are summed over the shard label and
+    // credited to the target's shard-0 instrument (serial detectors
+    // count as shard 0 too) — the same convention the restore plan uses
+    // for unkeyed state. Per-node firing counters are the exception:
+    // node ids are relative to each layout's graphs, so cross-layout
+    // they stay with the layout that did the work. The writer's layout
+    // is read off its own shard labels: every writer stores one merged
+    // detector source, so snap.source_shards is 1 whatever it ran on.
     registry_.Reset();
-    bool same_layout = snap.source_shards == num_shards();
+    int writer_shards = 1;
+    for (const auto& [name, value] : snap.counters) {
+      size_t label = name.find("shard=\"");
+      if (label == std::string::npos) continue;
+      writer_shards =
+          std::max(writer_shards, std::atoi(name.c_str() + label + 7) + 1);
+    }
+    const bool same_layout = writer_shards == num_shards();
     std::map<std::string, uint64_t> aggregated;
     for (const auto& [name, value] : snap.counters) {
       size_t label = name.find("shard=\"");
@@ -619,13 +629,11 @@ Status RcedaEngine::RestoreDecoded(const snapshot::EngineSnapshot& snap,
     }
     for (const auto& [base, value] : aggregated) {
       std::string target = base;
-      if (num_shards() > 1) {
-        size_t brace = target.find('{');
-        if (brace == std::string::npos) {
-          target += "{shard=\"0\"}";
-        } else {
-          target.insert(brace + 1, "shard=\"0\",");
-        }
+      size_t brace = target.find('{');
+      if (brace == std::string::npos) {
+        target += "{shard=\"0\"}";
+      } else {
+        target.insert(brace + 1, "shard=\"0\",");
       }
       if (common::Counter* counter = registry_.GetCounter(target)) {
         counter->Increment(value);

@@ -19,8 +19,18 @@ namespace {
 
 // How long an HTTP client has to deliver its whole request. Scrapers
 // send one short request line at once; a client that connects and
-// stays silent would otherwise hold the serial HTTP thread forever.
+// stays silent is dropped after this, holding nobody else up meanwhile.
 constexpr int kHttpReadDeadlineMs = 2000;
+// HTTP connections read at once; further ones wait in the backlog.
+constexpr size_t kMaxPendingHttp = 16;
+// Requests are a line and a few headers; more than this is served as is.
+constexpr size_t kMaxHttpRequestBytes = 16u << 10;
+
+bool RequestComplete(const std::string& request) {
+  return request.size() >= kMaxHttpRequestBytes ||
+         request.find("\r\n\r\n") != std::string::npos ||
+         request.find("\n\n") != std::string::npos;
+}
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
@@ -315,6 +325,7 @@ bool Server::HandleFrame(int fd, Tenant* tenant, const Frame& frame,
         const std::string& id = engine.rule(i).id;
         reply.fired.emplace_back(id, engine.FiredCount(id));
       }
+      tenant->PublishStoreGauges();
       return SendAll(fd, EncodeStatsReply(reply));
     }
     case FrameType::kCheckpoint: {
@@ -441,32 +452,7 @@ std::string Server::ExportMetrics() const {
   return out;
 }
 
-void Server::HandleHttp(int fd) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(kHttpReadDeadlineMs);
-  std::string request;
-  char chunk[4096];
-  while (request.size() < (16u << 10) &&
-         request.find("\r\n\r\n") == std::string::npos &&
-         request.find("\n\n") == std::string::npos) {
-    // Wait for request bytes, the deadline or Shutdown()'s wake byte,
-    // whichever comes first; only bytes lead to a recv().
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    pollfd fds[2] = {{fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    int ready = ::poll(fds, 2, static_cast<int>(std::max<int64_t>(
-                                   left.count(), 0)));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0 || (fds[1].revents & POLLIN) != 0) {
-      ::close(fd);
-      return;
-    }
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    request.append(chunk, static_cast<size_t>(n));
-  }
+void Server::HandleHttp(int fd, const std::string& request) {
   std::istringstream line(request);
   std::string method, path;
   line >> method >> path;
@@ -488,24 +474,75 @@ void Server::HandleHttp(int fd) {
                          "\r\nContent-Length: " +
                          std::to_string(body.size()) + "\r\n\r\n" + body;
   SendAll(fd, response);
-  ::close(fd);
 }
 
 void Server::HttpLoop() {
-  // Scrapes are tiny and rare next to ingest; serving them serially on
-  // the listener thread keeps the daemon's thread count predictable.
+  // Scrapes are tiny and rare next to ingest, so one thread serves them
+  // all, which keeps the daemon's thread count predictable. It polls
+  // the listener and up to kMaxPendingHttp connections still sending
+  // their request, each with its own read deadline: a silent client
+  // holds only its own slot, never the scrapes behind it.
+  using Clock = std::chrono::steady_clock;
+  struct Pending {
+    int fd;
+    Clock::time_point deadline;
+    std::string request;
+  };
+  std::vector<Pending> pending;
+  std::vector<pollfd> fds;
+  char chunk[4096];
   while (!stopping_.load()) {
-    pollfd fds[2] = {{http_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
+    fds.clear();
+    fds.push_back({wake_pipe_[0], POLLIN, 0});
+    // At capacity the listener is left out; new clients wait in its
+    // backlog until a slot frees.
+    fds.push_back(
+        {pending.size() < kMaxPendingHttp ? http_fd_ : -1, POLLIN, 0});
+    int timeout_ms = -1;
+    const Clock::time_point now = Clock::now();
+    for (const Pending& p : pending) {
+      fds.push_back({p.fd, POLLIN, 0});
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(p.deadline - now)
+              .count();
+      const int left_ms = static_cast<int>(std::max<int64_t>(left, 0));
+      timeout_ms = timeout_ms < 0 ? left_ms : std::min(timeout_ms, left_ms);
+    }
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (stopping_.load() || (fds[1].revents & POLLIN) != 0) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    int fd = ::accept(http_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    HandleHttp(fd);
+    if (stopping_.load() || (fds[0].revents & POLLIN) != 0) break;
+
+    // Read what arrived; serve complete requests (or whatever came
+    // before the peer closed); drop clients past their deadline.
+    const Clock::time_point after = Clock::now();
+    for (size_t i = pending.size(); i-- > 0;) {
+      Pending& p = pending[i];
+      bool serve = false;
+      if (fds[2 + i].revents != 0) {
+        const ssize_t n = ::recv(p.fd, chunk, sizeof(chunk), 0);
+        if (n > 0) {
+          p.request.append(chunk, static_cast<size_t>(n));
+          serve = RequestComplete(p.request);
+        } else {
+          serve = !(n < 0 && errno == EINTR);
+        }
+      }
+      if (!serve && after < p.deadline) continue;
+      if (serve) HandleHttp(p.fd, p.request);
+      ::close(p.fd);
+      pending.erase(pending.begin() + static_cast<ptrdiff_t>(i));
+    }
+    if ((fds[1].revents & POLLIN) != 0) {
+      const int fd = ::accept(http_fd_, nullptr, nullptr);
+      if (fd >= 0) {
+        pending.push_back(
+            {fd, after + std::chrono::milliseconds(kHttpReadDeadlineMs), {}});
+      }
+    }
   }
+  for (const Pending& p : pending) ::close(p.fd);
 }
 
 }  // namespace rfidcep::server

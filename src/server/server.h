@@ -93,7 +93,8 @@ class Server {
   // One client frame against `tenant`. Returns false when the
   // connection must close (error already sent / peer gone).
   bool HandleFrame(int fd, Tenant* tenant, const Frame& frame, uint64_t seq);
-  void HandleHttp(int fd);
+  // Answers one HTTP request read from `fd`.
+  void HandleHttp(int fd, const std::string& request);
   Status CheckpointAll();
 
   const ServerOptions options_;

@@ -254,7 +254,23 @@ Status Tenant::WriteImage() {
                   std::chrono::steady_clock::now() - start)
                   .count());
   }
+  PublishStoreGauges();
   return Status::Ok();
+}
+
+void Tenant::PublishStoreGauges() {
+  if (db_ == nullptr || !engine_->metrics_enabled()) return;
+  // An async action stage writes the store from its own thread.
+  if (config_.async_actions) engine_->DrainActions();
+  common::MetricsRegistry& registry = engine_->metrics_registry();
+  for (const std::string& name : db_->TableNames()) {
+    const store::Table& table = *db_->GetTable(name);
+    const std::string label = "{table=\"" + name + "\"}";
+    registry.GetGauge("store_rows" + label)
+        ->Set(static_cast<int64_t>(table.size()));
+    registry.GetGauge("store_bytes" + label)
+        ->Set(static_cast<int64_t>(table.bytes()));
+  }
 }
 
 }  // namespace rfidcep::server

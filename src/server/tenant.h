@@ -98,6 +98,11 @@ class Tenant {
   // checkpoint.snap. The durability point of the SIGTERM path.
   Status Checkpoint();
 
+  // Sets the gauges store_rows{table} and store_bytes{table} (live rows
+  // and Table::bytes()) for every table of the store, after draining an
+  // async action stage so they count every action taken so far.
+  void PublishStoreGauges();
+
   // True when Open() found and restored a previous checkpoint.
   bool restored() const { return restored_; }
   const TenantRecovery& recovery() const { return recovery_; }

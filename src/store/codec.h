@@ -65,10 +65,12 @@ class Dec {
   uint32_t U32() { return static_cast<uint32_t>(Fixed(4)); }
   uint64_t U64() { return Fixed(8); }
   int64_t I64() { return static_cast<int64_t>(U64()); }
-  std::string Str() {
+  std::string Str() { return std::string(StrView()); }
+  // A view into the decoded buffer, valid as long as it is.
+  std::string_view StrView() {
     uint32_t n = U32();
     if (!Need(n)) return {};
-    std::string s(data_.substr(pos_, n));
+    std::string_view s = data_.substr(pos_, n);
     pos_ += n;
     return s;
   }
@@ -121,26 +123,33 @@ inline void PutValue(Enc& enc, const Value& v) {
   }
 }
 
-// An unknown kind byte yields NULL; the caller's payload check then
-// fails (the kind's body is missing or misread), so corruption is
-// never silently accepted.
-inline Value GetValue(Dec& dec) {
-  switch (static_cast<ValueKind>(dec.U8())) {
+// Decodes one value, a string as a view into `dec`'s buffer. An
+// unknown kind byte yields NULL; the caller's payload check then fails
+// (the kind's body is missing or misread), so corruption is never
+// silently accepted.
+inline ValueView GetValueView(Dec& dec) {
+  ValueView v;
+  v.kind = static_cast<ValueKind>(dec.U8());
+  switch (v.kind) {
     case ValueKind::kNull:
-      return Value::Null();
-    case ValueKind::kInt:
-      return Value::Int(dec.I64());
-    case ValueKind::kDouble:
-      return Value::Double(std::bit_cast<double>(dec.U64()));
-    case ValueKind::kString:
-      return Value::String(dec.Str());
-    case ValueKind::kTime:
-      return Value::Time(dec.I64());
     case ValueKind::kUc:
-      return Value::Uc();
+      break;
+    case ValueKind::kInt:
+    case ValueKind::kDouble:
+    case ValueKind::kTime:
+      v.bits = dec.U64();
+      break;
+    case ValueKind::kString:
+      v.text = dec.StrView();
+      break;
+    default:
+      v.kind = ValueKind::kNull;
+      break;
   }
-  return Value::Null();
+  return v;
 }
+
+inline Value GetValue(Dec& dec) { return ToValue(GetValueView(dec)); }
 
 // Appends one frame (header + `payload`) to `out`.
 inline void AppendFrame(std::string_view payload, std::string* out) {

@@ -174,6 +174,9 @@ Status ReadTable(const std::string& path, FrameReader* in, Database* db) {
     RFIDCEP_RETURN_IF_ERROR(
         table->CreateIndex(table->schema().columns()[c].name));
   }
+  // Rows go straight from the frame into the table's cells: strings as
+  // views of the payload, coerced and checked as Insert would.
+  std::vector<ValueView> row(ncols);
   uint64_t loaded = 0;
   while (loaded < rows) {
     RFIDCEP_RETURN_IF_ERROR(in->Next(&payload));
@@ -181,11 +184,9 @@ Status ReadTable(const std::string& path, FrameReader* in, Database* db) {
     if (run.U8() != kRowsTag) return Corrupt(path, "expected a rows frame");
     do {
       if (loaded == rows) return Corrupt(path, "extra rows in table " + name);
-      Row row;
-      row.reserve(ncols);
-      for (uint32_t c = 0; c < ncols; ++c) row.push_back(codec::GetValue(run));
+      for (ValueView& value : row) value = codec::GetValueView(run);
       if (!run.ok()) return Corrupt(path, "bad row in table " + name);
-      RFIDCEP_RETURN_IF_ERROR(table->Insert(std::move(row)));
+      RFIDCEP_RETURN_IF_ERROR(table->Append(row));
       ++loaded;
     } while (!run.AtEnd());
   }

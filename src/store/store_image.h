@@ -43,8 +43,9 @@ Result<uint64_t> WriteStoreImage(const Database& db, uint64_t lsn,
                                  const std::string& path);
 
 // Loads the image at `path` into `db`, which must hold no tables, and
-// returns its LSN. Rows go through Table::Insert, so schema coercion
-// and the indexes apply exactly as for live writes. kNotFound when the
+// returns its LSN. Rows go through Table::Append, straight from the
+// frames into the table's cells, with the schema coercion and index
+// upkeep of a live Insert. kNotFound when the
 // file is missing; kInvalidArgument when it is torn, fails a CRC or does
 // not decode. After a failure `db` may hold part of the image.
 Result<uint64_t> ReadStoreImage(const std::string& path, Database* db);

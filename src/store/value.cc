@@ -1,5 +1,6 @@
 #include "store/value.h"
 
+#include <bit>
 #include <cmath>
 
 namespace rfidcep::store {
@@ -133,22 +134,22 @@ std::string Value::ToString() const {
   return "?";
 }
 
-std::string Value::EncodeKey() const {
-  switch (kind()) {
+Value ToValue(const ValueView& view) {
+  switch (view.kind) {
     case ValueKind::kNull:
-      return "N";
+      return Value::Null();
     case ValueKind::kInt:
-      return "I" + std::to_string(AsInt());
+      return Value::Int(static_cast<int64_t>(view.bits));
     case ValueKind::kDouble:
-      return "D" + std::to_string(AsDouble());
+      return Value::Double(std::bit_cast<double>(view.bits));
     case ValueKind::kString:
-      return "S" + AsString();
+      return Value::String(std::string(view.text));
     case ValueKind::kTime:
-      return "T" + std::to_string(AsTime());
+      return Value::Time(static_cast<TimePoint>(view.bits));
     case ValueKind::kUc:
-      return "U";
+      return Value::Uc();
   }
-  return "?";
+  return Value::Null();
 }
 
 }  // namespace rfidcep::store

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/status.h"
@@ -19,7 +20,7 @@
 
 namespace rfidcep::store {
 
-enum class ValueKind {
+enum class ValueKind : uint8_t {
   kNull = 0,
   kInt,
   kDouble,
@@ -51,6 +52,16 @@ class Value {
   bool is_null() const { return kind() == ValueKind::kNull; }
   bool is_uc() const { return kind() == ValueKind::kUc; }
 
+  // Makes this value the string `s`, reusing the buffer of a string it
+  // already holds.
+  void AssignString(std::string_view s) {
+    if (kind() == ValueKind::kString) {
+      std::get<3>(rep_).assign(s);
+    } else {
+      rep_.emplace<3>(s);
+    }
+  }
+
   // Accessors require the matching kind.
   int64_t AsInt() const { return std::get<1>(rep_); }
   double AsDouble() const { return std::get<2>(rep_); }
@@ -77,9 +88,6 @@ class Value {
   // Rendering for result sets and CSV traces.
   std::string ToString() const;
 
-  // Key encoding for hash indexes and grouping: injective per kind.
-  std::string EncodeKey() const;
-
   // Structural equality (used in tests). Unlike EqualsSql, NULL == NULL.
   friend bool operator==(const Value& a, const Value& b) {
     return a.Compare(b) == 0 && a.kind() == b.kind();
@@ -96,6 +104,17 @@ class Value {
 
   Rep rep_;
 };
+
+// A value borrowed from a decode buffer: its kind and payload, a string
+// as a view. Table::Append stores one without building a Value.
+struct ValueView {
+  ValueKind kind = ValueKind::kNull;
+  uint64_t bits = 0;      // kInt, kTime: the integer; kDouble: its bits.
+  std::string_view text;  // kString.
+};
+
+// The value `view` borrows, copied out of its buffer.
+Value ToValue(const ValueView& view);
 
 }  // namespace rfidcep::store
 

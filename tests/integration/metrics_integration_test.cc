@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -244,6 +245,70 @@ TEST_F(MetricsIntegrationTest, ResetZeroesCountersAndReplayMatches) {
   ASSERT_TRUE(engine.ProcessAll(head).ok());
   ASSERT_TRUE(engine.Flush().ok());
   EXPECT_EQ(counters_only(engine.ExportMetrics()), first);
+}
+
+// A data-partitioned capture restored onto a serial engine: the serial
+// engine has no shard 1, so no shard="1" series may appear; the writer's
+// per-shard counters are summed onto shard 0, and every total, labelled
+// or not, continues from the snapshot to the uninterrupted run's value.
+TEST_F(MetricsIntegrationTest, DataPartitionedCaptureRestoresOntoSerial) {
+  auto make = [&](int shards) {
+    EngineOptions options;
+    options.shards = shards;
+    options.enable_metrics = true;
+    options.detector.tolerate_out_of_order = true;
+    auto engine = std::make_unique<RcedaEngine>(nullptr, chain_.environment(),
+                                                options);
+    EXPECT_TRUE(engine->AddRulesFromText(program_).ok());
+    EXPECT_TRUE(engine->Compile().ok());
+    return engine;
+  };
+  const size_t cut = stream_.size() / 2;
+  const std::vector<events::Observation> head(stream_.begin(),
+                                              stream_.begin() + cut);
+  const std::vector<events::Observation> tail(stream_.begin() + cut,
+                                              stream_.end());
+
+  auto writer = make(2);
+  ASSERT_TRUE(writer->data_partitioned());
+  ASSERT_TRUE(writer->ProcessAll(head).ok());
+  std::string bytes;
+  ASSERT_TRUE(writer->SerializeState(&bytes).ok());
+  const std::map<std::string, int64_t> at_cut =
+      ParseExposition(writer->ExportMetrics());
+  ASSERT_GT(SampleOr(at_cut, "detector_rule_matches_total{shard=\"1\"}", 0),
+            0);
+
+  auto restored = make(1);
+  ASSERT_TRUE(restored->RestoreState(bytes).ok());
+  auto no_shard_1 = [](const std::map<std::string, int64_t>& samples) {
+    for (const auto& [name, value] : samples) {
+      EXPECT_EQ(name.find("shard=\"1\""), std::string::npos) << name;
+    }
+  };
+  std::map<std::string, int64_t> samples =
+      ParseExposition(restored->ExportMetrics());
+  no_shard_1(samples);
+  EXPECT_EQ(SampleOr(samples, "rfidcep_observations_total"),
+            SampleOr(at_cut, "rfidcep_observations_total"));
+  EXPECT_EQ(SampleOr(samples, "detector_rule_matches_total{shard=\"0\"}"),
+            SumFamily(at_cut, "detector_rule_matches_total{shard="));
+
+  auto reference = make(1);
+  ASSERT_TRUE(reference->ProcessAll(stream_).ok());
+  ASSERT_TRUE(reference->Flush().ok());
+  ASSERT_TRUE(restored->ProcessAll(tail).ok());
+  ASSERT_TRUE(restored->Flush().ok());
+  samples = ParseExposition(restored->ExportMetrics());
+  const std::map<std::string, int64_t> want =
+      ParseExposition(reference->ExportMetrics());
+  no_shard_1(samples);
+  for (const char* name :
+       {"rfidcep_observations_total", "rfidcep_rules_fired_total",
+        "rfidcep_matches_total", "detector_rule_matches_total{shard=\"0\"}",
+        "detector_primitive_matches_total{shard=\"0\"}"}) {
+    EXPECT_EQ(SampleOr(samples, name), SampleOr(want, name)) << name;
+  }
 }
 
 // The lifecycle trace and the counters agree on the same replay.

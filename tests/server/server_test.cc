@@ -519,6 +519,52 @@ TEST_F(ServerTest, RestartAfterCheckpointReplaysNoWalRecords) {
   }
 }
 
+// store_rows{table} reconciles with Table::size() after loopback ingest,
+// whether set by kStats or by a checkpoint, sync or async, and
+// store_bytes follows Table::bytes().
+TEST_F(ServerTest, StoreGaugesReconcileWithTables) {
+  const std::vector<events::Observation> trace = MakeTrace(600);
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    TenantConfig config = AlphaConfig(/*shards=*/1);
+    config.async_actions = async;
+    Server server(Options(async ? "async" : "sync"));
+    ASSERT_TRUE(server.AddTenant(config).ok());
+    ASSERT_TRUE(server.Start().ok());
+    Client client;
+    ASSERT_TRUE(client.Connect(server.bound_port(), "alpha"));
+    const store::Database& db = *server.tenant("alpha")->db();
+    auto expect_gauges = [&] {
+      const std::string metrics = server.ExportMetrics();
+      for (const std::string& name : db.TableNames()) {
+        SCOPED_TRACE(name);
+        const std::string label =
+            "{tenant=\"alpha\",table=\"" + name + "\"}";
+        EXPECT_EQ(MetricValue(metrics, "store_rows" + label),
+                  std::to_string(db.GetTable(name)->size()));
+        EXPECT_EQ(MetricValue(metrics, "store_bytes" + label),
+                  std::to_string(db.GetTable(name)->bytes()));
+      }
+    };
+    const auto batches = Batched(trace, 50);
+    for (size_t i = 0; i < batches.size() / 2; ++i) {
+      ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+    }
+    StatsReply stats;
+    ASSERT_TRUE(client.Stats(&stats));
+    EXPECT_GT(db.GetTable("OBJECTLOCATION")->size(), 0u);
+    expect_gauges();
+    for (size_t i = batches.size() / 2; i < batches.size(); ++i) {
+      ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+    }
+    ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kCheckpoint, "")));
+    // Every observation inserts one location row.
+    EXPECT_EQ(db.GetTable("OBJECTLOCATION")->size(), trace.size());
+    expect_gauges();
+    EXPECT_TRUE(server.Shutdown().ok());
+  }
+}
+
 // Removing or damaging the image costs a full WAL replay, counted in
 // /metrics, and gives the same store and the same kStats.
 TEST_F(ServerTest, DamagedImageFallsBackToFullReplay) {
@@ -768,9 +814,12 @@ TEST_F(ServerTest, IdleHttpClientDoesNotBlockScrapesOrShutdown) {
     return fd;
   };
 
-  // A scrape queued behind an idle client is served once the idle one
-  // times out.
+  // A scrape behind two idle clients is answered at once, not after
+  // their read deadline (2 s); the idle ones are closed by it later.
   const int idle = connect_http();
+  const int idle2 = connect_http();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // Accepted.
+  const auto start = std::chrono::steady_clock::now();
   const int scrape = connect_http();
   const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
   ASSERT_EQ(::send(scrape, request.data(), request.size(), MSG_NOSIGNAL),
@@ -780,11 +829,16 @@ TEST_F(ServerTest, IdleHttpClientDoesNotBlockScrapesOrShutdown) {
   for (ssize_t n; (n = ::recv(scrape, chunk, sizeof(chunk), 0)) > 0;) {
     reply.append(chunk, static_cast<size_t>(n));
   }
+  const auto waited = std::chrono::steady_clock::now() - start;
   ::close(scrape);
   EXPECT_NE(reply.find("200 OK"), std::string::npos) << reply;
+  EXPECT_LT(waited, std::chrono::milliseconds(500))
+      << "/healthz waited behind idle HTTP clients";
   char byte;
   EXPECT_EQ(::recv(idle, &byte, 1, 0), 0);  // Closed by the deadline.
+  EXPECT_EQ(::recv(idle2, &byte, 1, 0), 0);
   ::close(idle);
+  ::close(idle2);
 
   // Shutdown() with an idle client connected returns and checkpoints.
   // If it hung, closing the client unblocks it so the test can fail.

@@ -1,7 +1,12 @@
 // Store images (store/store_image.h): the image round-trips every value
 // kind, schema and index; image + WAL tail rebuilds the same store as a
-// full replay; and every kind of damaged or stale image falls back to
-// that full replay.
+// full replay; every kind of damaged or stale image falls back to that
+// full replay; and the committed fixture tests/store/testdata/
+// store_v1.img keeps loading and re-encodes to the same bytes.
+//
+// The fixture is an artifact of the format, not of any table layout:
+// regenerate it only after an INTENTIONAL image format bump, via
+//   RFIDCEP_REGEN_GOLDEN=1 ./tests/store_image_test
 
 #include "store/store_image.h"
 
@@ -10,9 +15,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -57,6 +64,165 @@ std::string Dump(const Database& db) {
     });
   }
   return out;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The deterministic store behind tests/store/testdata/store_v1.img:
+// every value kind (strings empty, short and longer than any SSO
+// buffer), indexed and unindexed columns, updated rows, and enough
+// deleted rows that OBJECTLOCATION compacts.
+void BuildGoldenStore(Database* db) {
+  ASSERT_TRUE(db->InstallRfidSchema().ok());
+  ASSERT_TRUE(ExecuteSql("CREATE TABLE kinds (a, n INT, d DOUBLE, s STRING, "
+                         "t TIME)",
+                         db)
+                  .ok());
+  ASSERT_TRUE(ExecuteSql("CREATE INDEX ON kinds (a)", db).ok());
+  ASSERT_TRUE(ExecuteSql("CREATE INDEX ON kinds (s)", db).ok());
+  Table* kinds = db->GetTable("kinds");
+  const std::vector<Value> any = {
+      Value::Null(),
+      Value::Int(1),
+      Value::Int(-42),
+      Value::Double(1.0),
+      Value::Double(-0.0),
+      Value::Double(0.1),
+      Value::String(""),
+      Value::String("UC"),
+      Value::Time(123456789),
+      Value::Uc(),
+      Value::String("urn:epc:id:sgtin:0614141.1073"),
+      Value::String("dock7")};
+  for (size_t i = 0; i < any.size(); ++i) {
+    const int64_t n = static_cast<int64_t>(i);
+    ASSERT_TRUE(kinds
+                    ->Insert({any[i], Value::Int(n % 3),
+                              Value::Double(0.5 * static_cast<double>(n)),
+                              any[(i * 5) % any.size()].kind() ==
+                                      ValueKind::kString
+                                  ? any[(i * 5) % any.size()]
+                                  : Value::String("s" + std::to_string(n)),
+                              i % 4 == 0 ? Value::Uc() : Value::Time(n)})
+                    .ok());
+  }
+  ASSERT_TRUE(ExecuteSql("UPDATE kinds SET s = 'a longer string than sso', "
+                         "t = 99 WHERE n = 1",
+                         db)
+                  .ok());
+  // Leaves "dock7" in no live row.
+  ASSERT_TRUE(ExecuteSql("DELETE FROM kinds WHERE n = 2 AND d > 5", db).ok());
+
+  // Location history in the paper's style; the early, closed periods of
+  // most objects are retired, which leaves more than half the table dead.
+  for (int i = 0; i < 120; ++i) {
+    ParamMap params;
+    params["o"] = ParamValue::Scalar(Value::String(
+        "urn:epc:id:sgtin:0614141.107346." + std::to_string(i % 11)));
+    params["r"] = ParamValue::Scalar(Value::String(
+        i % 5 == 0 ? "" : "dock" + std::to_string(i % 3)));
+    params["t"] = ParamValue::Scalar(Value::Time(i * 1000));
+    ASSERT_TRUE(ExecuteSql("UPDATE OBJECTLOCATION SET tend = t WHERE "
+                           "object_epc = o AND tend = \"UC\"",
+                           db, params)
+                    .ok());
+    ASSERT_TRUE(ExecuteSql("INSERT INTO OBJECTLOCATION VALUES (o, r, t, "
+                           "\"UC\")",
+                           db, params)
+                    .ok());
+  }
+  ASSERT_TRUE(
+      ExecuteSql("DELETE FROM OBJECTLOCATION WHERE tend < 100000", db).ok());
+  ASSERT_TRUE(ExecuteSql("INSERT INTO OBSERVATION VALUES ('r1', "
+                         "'urn:epc:id:sgtin:0614141.107346.3', 7)",
+                         db)
+                  .ok());
+}
+
+std::string GoldenImagePath() {
+  return std::string(RFIDCEP_STORE_TESTDATA_DIR) + "/store_v1.img";
+}
+
+TEST(StoreImageGoldenTest, CommittedImageLoadsAndRewritesIdentically) {
+  Database built;
+  BuildGoldenStore(&built);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // The image was written after compaction: fewer rows than were stored.
+  ASSERT_EQ(built.GetTable("OBJECTLOCATION")->size(), 31u);
+  if (std::getenv("RFIDCEP_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(WriteStoreImage(built, 4242, GoldenImagePath()).ok());
+    GTEST_SKIP() << "regenerated " << GoldenImagePath();
+  }
+
+  Database loaded;
+  Result<uint64_t> lsn = ReadStoreImage(GoldenImagePath(), &loaded);
+  ASSERT_TRUE(lsn.ok()) << lsn.status().message();
+  EXPECT_EQ(*lsn, 4242u);
+  // Rows in scan order, schemas and index sets, as the store that wrote
+  // the image held them.
+  EXPECT_EQ(Dump(loaded), Dump(built));
+  const Table& kinds = *loaded.GetTable("kinds");
+  std::vector<Row> rows = kinds.SelectWhere(nullptr);
+  ASSERT_EQ(rows.size(), 11u);
+  EXPECT_TRUE(rows[0][0].is_null());
+  EXPECT_TRUE(rows[0][4].is_uc());
+  EXPECT_EQ(rows[1][3], Value::String("a longer string than sso"));
+  EXPECT_EQ(rows[1][4], Value::Time(99));
+  EXPECT_EQ(rows[10][0], Value::String("urn:epc:id:sgtin:0614141.1073"));
+
+  // Index lookups agree with a scan, kind for kind: Int(1) and
+  // Double(1.0) are distinct keys, and the string "UC" is not the UC
+  // value in an untyped column.
+  auto expect_lookup = [&](size_t column, const Value& key, size_t want) {
+    SCOPED_TRACE(key.ToString());
+    ASSERT_TRUE(kinds.HasIndex(column));
+    std::vector<Row> hits = kinds.Lookup(column, key);
+    EXPECT_EQ(hits.size(), want);
+    for (const Row& row : hits) EXPECT_TRUE(row[column].EqualsSql(key));
+  };
+  expect_lookup(0, Value::Int(1), 1);
+  expect_lookup(0, Value::Double(1.0), 1);
+  expect_lookup(0, Value::Double(0.0), 0);
+  expect_lookup(0, Value::Double(-0.0), 1);
+  expect_lookup(0, Value::String(""), 1);
+  expect_lookup(0, Value::String("UC"), 1);
+  expect_lookup(0, Value::Uc(), 1);
+  expect_lookup(0, Value::Time(123456789), 1);
+  expect_lookup(0, Value::String("never stored"), 0);
+  expect_lookup(0, Value::String("dock7"), 0);
+  expect_lookup(3, Value::String("a longer string than sso"), 4);
+  const Table& locations = *loaded.GetTable("OBJECTLOCATION");
+  ASSERT_TRUE(locations.HasIndex(0));
+  EXPECT_FALSE(locations.HasIndex(1));
+  size_t indexed = 0;
+  for (int o = 0; o < 11; ++o) {
+    const Value key = Value::String("urn:epc:id:sgtin:0614141.107346." +
+                                    std::to_string(o));
+    const std::vector<Row> hits = locations.Lookup(0, key);
+    EXPECT_EQ(hits.size(), locations
+                               .SelectWhere([&](const Row& row) {
+                                 return row[0].EqualsSql(key);
+                               })
+                               .size());
+    indexed += hits.size();
+  }
+  EXPECT_EQ(indexed, locations.size());
+  EXPECT_EQ(locations.Lookup(1, Value::String("dock1")).size(),
+            locations
+                .SelectWhere([](const Row& row) {
+                  return row[1].EqualsSql(Value::String("dock1"));
+                })
+                .size());
+
+  // Re-encoding the loaded store gives the committed bytes back.
+  const std::string rewritten =
+      (fs::path(::testing::TempDir()) / "store_v1_rewritten.img").string();
+  ASSERT_TRUE(WriteStoreImage(loaded, *lsn, rewritten).ok());
+  EXPECT_TRUE(ReadFile(rewritten) == ReadFile(GoldenImagePath()));
+  fs::remove(rewritten);
 }
 
 class StoreImageTest : public ::testing::Test {

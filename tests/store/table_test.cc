@@ -145,6 +145,97 @@ TEST(TableTest, CompactionPreservesContentAndIndex) {
   EXPECT_EQ(table.Lookup(0, Value::String("new")).size(), 1u);
 }
 
+TEST(TableTest, IndexKeysAreDistinctPerKind) {
+  // Same payload, different kinds: each probe finds only its own row,
+  // as SQL equality on the indexed column would not (Int 5 = Double 5).
+  Table table("T", Schema({{"a", ColumnType::kAny}}));
+  ASSERT_TRUE(table.CreateIndex("a").ok());
+  const std::vector<Value> keys = {
+      Value::Int(5),    Value::Time(5),   Value::Double(5.0),
+      Value::String("5"), Value::Uc(),    Value::String("UC"),
+      Value::Null()};
+  for (const Value& key : keys) ASSERT_TRUE(table.Insert({key}).ok());
+  for (const Value& key : keys) {
+    SCOPED_TRACE(std::string(ValueKindName(key.kind())) + " " +
+                 key.ToString());
+    std::vector<Row> hits = table.Lookup(0, key);
+    if (key.is_null()) {
+      EXPECT_TRUE(hits.empty());  // NULL equals nothing.
+      continue;
+    }
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0][0], key);
+  }
+}
+
+TEST(TableTest, ProbeForUnseenStringFindsNothing) {
+  Table table("T", LocationSchema());
+  ASSERT_TRUE(table.CreateIndex("object_epc").ok());
+  ASSERT_TRUE(table.Insert(LocationRow("o1", "x", 1)).ok());
+  EXPECT_TRUE(table.Lookup(0, Value::String("o2")).empty());
+  EXPECT_TRUE(table.SelectWhereKeyed(0, Value::String("o2"), nullptr).empty());
+  EXPECT_EQ(*table.UpdateWhereKeyed(0, Value::String("o2"), nullptr,
+                                    [](Row* row) { (*row)[1] = Value(); }),
+            0u);
+  EXPECT_EQ(table.DeleteWhereKeyed(0, Value::String("o2"), nullptr), 0u);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(TableTest, UpdateFailingCoercionLeavesRowAsItWas) {
+  Table table("T", LocationSchema());
+  ASSERT_TRUE(table.CreateIndex("object_epc").ok());
+  ASSERT_TRUE(table.Insert(LocationRow("o1", "x", 1)).ok());
+  Result<size_t> updated = table.UpdateWhereKeyed(
+      0, Value::String("o1"), nullptr, [](Row* row) {
+        (*row)[0] = Value::String("o2");
+        (*row)[2] = Value::Double(0.5);  // Not a time.
+      });
+  EXPECT_FALSE(updated.ok());
+  ASSERT_EQ(table.Lookup(0, Value::String("o1")).size(), 1u);
+  EXPECT_EQ(table.Lookup(0, Value::String("o1"))[0],
+            LocationRow("o1", "x", 1));
+  EXPECT_TRUE(table.Lookup(0, Value::String("o2")).empty());
+}
+
+TEST(TableTest, KeyedVisitsFollowRowOrder) {
+  Table table("T", LocationSchema());
+  ASSERT_TRUE(table.CreateIndex("object_epc").ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(
+        table.Insert(LocationRow(i % 2 == 0 ? "a" : "b", "x", i)).ok());
+  }
+  // Row 1 moves into bucket "a" between rows 0 and 2.
+  ASSERT_TRUE(table
+                  .UpdateWhere(
+                      [](const Row& row) { return row[2].AsTime() == 1; },
+                      [](Row* row) { (*row)[0] = Value::String("a"); })
+                  .ok());
+  std::vector<TimePoint> starts;
+  for (const Row& row : table.Lookup(0, Value::String("a"))) {
+    starts.push_back(row[2].AsTime());
+  }
+  EXPECT_EQ(starts, (std::vector<TimePoint>{0, 1, 2, 4}));
+}
+
+TEST(TableTest, BytesFollowRowsAndShrinkOnCompaction) {
+  Table table("T", LocationSchema());
+  ASSERT_TRUE(table.CreateIndex("object_epc").ok());
+  const size_t empty = table.bytes();
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(table
+                    .Insert(LocationRow("urn:epc:id:sgtin:0614141.107346." +
+                                            std::to_string(i),
+                                        "dock", i))
+                    .ok());
+  }
+  const size_t full = table.bytes();
+  // Four cells of 9 bytes, a row id and a long string per row at least.
+  EXPECT_GT(full - empty, 5000u * (4 * 9 + 4 + 32));
+  table.DeleteWhere([](const Row& row) { return row[2].AsTime() >= 100; });
+  EXPECT_EQ(table.size(), 100u);
+  EXPECT_LT(table.bytes(), full / 10);
+}
+
 TEST(TableTest, CreateIndexOnUnknownColumnFails) {
   Table table("T", LocationSchema());
   EXPECT_FALSE(table.CreateIndex("ghost").ok());

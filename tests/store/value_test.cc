@@ -65,13 +65,5 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Time(kSecond).ToString(), "1.000000s");
 }
 
-TEST(ValueTest, EncodeKeyIsInjectivePerKind) {
-  // Same payload, different kinds must not collide in hash indexes.
-  EXPECT_NE(Value::Int(5).EncodeKey(), Value::Time(5).EncodeKey());
-  EXPECT_NE(Value::String("5").EncodeKey(), Value::Int(5).EncodeKey());
-  EXPECT_NE(Value::Null().EncodeKey(), Value::Uc().EncodeKey());
-  EXPECT_EQ(Value::String("x").EncodeKey(), Value::String("x").EncodeKey());
-}
-
 }  // namespace
 }  // namespace rfidcep::store
